@@ -52,7 +52,6 @@
 #include "bench_common.h"
 #include "core/prob_gain.h"
 #include "core/prop_partitioner.h"
-#include "hypergraph/generator.h"
 #include "hypergraph/mcnc_suite.h"
 #include "partition/initial.h"
 #include "partition/runner.h"
@@ -253,107 +252,6 @@ Timed run_move_update(const prop::Hypergraph& g,
   return t;
 }
 
-// --- active-sweep kernel ---------------------------------------------------
-// The §4k active-set contract under the microscope, on the synthetic
-// 10^3/10^4-node instances.  Each rep stages a batch of probability changes
-// (the round engine's apply/stage step), folds them into the dirty-net set
-// and rebuilds exactly those nets, then recomputes gains either for every
-// node ("full" — the pre-§4k round sweep) or only for the pins of the
-// dirty nets ("dirty" — the active-set sweep).  The gains array is carried
-// across reps, so in dirty mode unswept entries go stale by design; the
-// §4k invariant says stale is still exact.  That is asserted in-binary
-// after the timed region: every entry must be BITWISE equal to a fresh
-// gain(u) (exit 7 on mismatch).  Steady state allocates nothing.
-bool g_identity_failure = false;
-
-Timed run_active_sweep(const prop::Hypergraph& g,
-                       const std::vector<std::uint8_t>& sides,
-                       bool dirty_sweep, int reps, std::uint64_t seed,
-                       const char* circuit) {
-  const prop::ProbabilityModel model;
-  prop::Partition part(g, sides);
-  prop::ProbGainCalculator calc(part, GainEngine::kCached);
-  const auto n = static_cast<NodeId>(g.num_nodes());
-  calc.set_dirty_tracking(true);
-  calc.reset();
-  for (NodeId u = 0; u < n; ++u) calc.set_probability(u, model.pinit);
-  calc.clear_dirty();
-
-  std::vector<double> gains(n, 0.0);
-  const auto batch_size = static_cast<std::size_t>(std::max<NodeId>(8, n / 64));
-  std::vector<NodeId> batch(batch_size, 0);
-  std::vector<NodeId> sweep;
-  sweep.reserve(n);
-  std::vector<std::uint32_t> stamp(n, 0);
-  std::uint32_t epoch = 0;
-  prop::Rng rng(prop::mix_seed(seed, 23));
-
-  // Capacity warmup: mark every net dirty once through the staging path so
-  // the calculator's internal dirty list reaches its maximum size and never
-  // reallocates inside the timed region.
-  for (NodeId u = 0; u < n; ++u) calc.stage_probability(u, 0.5);
-  calc.note_staged_changes_all();
-  {
-    const auto& dirty = calc.dirty_nets();
-    calc.rebuild_products_for(dirty.data(), 0, dirty.size());
-  }
-  calc.clear_dirty();
-  for (NodeId u = 0; u < n; ++u) gains[u] = calc.gain(u);
-
-  const auto one_rep = [&] {
-    for (auto& u : batch) {
-      u = static_cast<NodeId>(
-          rng.range(0, static_cast<std::int64_t>(n) - 1));
-      calc.stage_probability(u, 0.4 + 0.55 * rng.uniform());
-    }
-    calc.note_staged_changes(batch.data(), batch.size());
-    const auto& dirty = calc.dirty_nets();
-    calc.rebuild_products_for(dirty.data(), 0, dirty.size());
-    if (dirty_sweep) {
-      ++epoch;
-      sweep.clear();
-      for (const NetId net : dirty) {
-        for (const NodeId v : g.pins_of(net)) {
-          if (stamp[v] != epoch) {
-            stamp[v] = epoch;
-            sweep.push_back(v);
-          }
-        }
-      }
-      for (const NodeId v : sweep) gains[v] = calc.gain(v);
-      if (!sweep.empty()) g_sink += gains[sweep.front()];
-    } else {
-      for (NodeId v = 0; v < n; ++v) gains[v] = calc.gain(v);
-      g_sink += gains[n / 2];
-    }
-    calc.clear_dirty();
-  };
-
-  one_rep();  // warmup: first-touch paging, no further allocations allowed
-  const std::uint64_t allocs_before = g_allocations.load();
-  prop::WallTimer wall;
-  prop::ThreadCpuTimer cpu;
-  for (int r = 0; r < reps; ++r) one_rep();
-  const Timed t{wall.seconds(), cpu.seconds()};
-  assert_no_allocs("active-sweep", circuit,
-                   g_allocations.load() - allocs_before);
-
-  // §4k identity: every entry — including the ones dirty mode never
-  // re-swept — must equal a fresh gain(u) bitwise.
-  for (NodeId u = 0; u < n; ++u) {
-    if (gains[u] != calc.gain(u)) {
-      g_identity_failure = true;
-      std::fprintf(stderr,
-                   "ACTIVE-SET IDENTITY VIOLATION: %s/%s node %u gain "
-                   "%.17g != fresh %.17g\n",
-                   dirty_sweep ? "dirty" : "full", circuit,
-                   static_cast<unsigned>(u), gains[u], calc.gain(u));
-      break;
-    }
-  }
-  return t;
-}
-
 // --- end-to-end kernel -----------------------------------------------------
 Timed run_end_to_end(const prop::Hypergraph& g,
                      const prop::BalanceConstraint& balance, GainEngine engine,
@@ -530,51 +428,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Active-sweep section: full vs dirty sweeps on the scaled synthetic
-  // instances (cached engine only — the active set is a cached-engine
-  // feature).  The "engine" column carries the sweep mode; the dirty row's
-  // speedup field is full wall / dirty wall.
-  for (const char* name : {"synth1000", "synth10000"}) {
-    const long long nodes = std::atoll(name + 5);
-    const prop::Hypergraph g = prop::generate_circuit(
-        prop::scaled_spec(name, static_cast<prop::NodeId>(nodes)),
-        prop::kSuiteSeed);
-    const prop::BalanceConstraint balance =
-        prop::BalanceConstraint::forty_five(g);
-    prop::Rng init_rng(prop::mix_seed(seed, 41));
-    const std::vector<std::uint8_t> sides =
-        prop::random_balanced_sides(g, balance, init_rng);
-
-    double full_wall = 0.0;
-    for (const bool dirty_sweep : {false, true}) {
-      Timed t = run_active_sweep(g, sides, dirty_sweep, reps, seed, name);
-      for (int m = 1; m < min_of; ++m) {
-        const Timed s = run_active_sweep(g, sides, dirty_sweep, reps, seed,
-                                         name);
-        if (s.wall < t.wall) t = s;
-      }
-      Row row;
-      row.kernel = "active-sweep";
-      row.circuit = name;
-      row.engine = dirty_sweep ? "dirty" : "full";
-      row.ops = static_cast<std::uint64_t>(reps);
-      row.wall_seconds = t.wall;
-      row.cpu_seconds = t.cpu;
-      if (!dirty_sweep) {
-        full_wall = t.wall;
-        std::printf("%-12s %-10s %-8s %12llu %12.4f %9s\n", "active-sweep",
-                    name, "full", static_cast<unsigned long long>(row.ops),
-                    t.wall, "-");
-      } else {
-        if (t.wall > 0.0) row.speedup_vs_scratch = full_wall / t.wall;
-        std::printf("%-12s %-10s %-8s %12llu %12.4f %8.2fx\n", "active-sweep",
-                    name, "dirty", static_cast<unsigned long long>(row.ops),
-                    t.wall, row.speedup_vs_scratch);
-      }
-      rows.push_back(row);
-    }
-  }
-
   prop::bench::print_rule(68);
   std::printf("\naggregate cached speedup (total scratch wall / total cached "
               "wall):\n");
@@ -616,12 +469,6 @@ int main(int argc, char** argv) {
                  "error: steady-state kernel regions performed heap "
                  "allocations\n");
     exit_code = 6;
-  }
-  if (g_identity_failure) {
-    std::fprintf(stderr,
-                 "error: active-set sweep gains diverged from a fresh "
-                 "recompute\n");
-    exit_code = 7;
   }
 
   // Perf-regression gate: compare wall seconds cell-by-cell against the

@@ -30,14 +30,6 @@ echo "== multilevel perf gate (release) =="
 ./build/bench/multilevel --fast --baseline BENCH_multilevel.json \
   --out build/BENCH_multilevel.json > /dev/null
 
-# Round-engine gate: bench/parallel_pass re-asserts in-binary that the
-# deterministic round engine produces byte-identical partitions and
-# stats-json across pass_threads 1/2/4 (exit 5), then applies the same
-# >25% wall-regression policy against BENCH_parallel_pass.json (exit 4).
-echo "== parallel-pass determinism + perf gate (release) =="
-./build/bench/parallel_pass --fast --baseline BENCH_parallel_pass.json \
-  --out build/BENCH_parallel_pass.json > /dev/null
-
 # K-way pipeline gate: rb / rb+greedy / rb+k-way-PROP on the fast subset
 # against the committed BENCH_kway.json.  In-binary asserts: every run's
 # claimed cost is revalidated exactly (exit 6) and the full pipeline must
@@ -89,10 +81,6 @@ echo "== k-way smoke (asan+ubsan) =="
   > /dev/null
 ./build-asan/tools/prop_cli --circuit p1 --k 8 --multilevel --runs 1 \
   > /dev/null
-# K-way round engine (§4k): the active-set sweeps, KWayGainEntry snapshots
-# and batched apply/rebuild path of both PROP stages under ASan.
-./build-asan/tools/prop_cli --circuit p1 --algo prop --k 4 --pass-threads 4 \
-  --runs 1 > /dev/null
 
 # Service chaos soak under ASan+UBSan: a short fault-injected soak that
 # drives the admission queue past its limit.  The binary itself is the gate —
@@ -109,7 +97,6 @@ printf '%s\n%s\n' \
 
 # ThreadSanitizer over everything that touches the thread pool or the
 # cross-thread stop latch: the parallel runner suites, the pool itself, the
-# intra-pass round engine (ParallelPass/ParallelFor/ProbGainBatch), the
 # socket front end (SocketServer/LineFramer, matched by 'Server'), and the
 # runtime suites whose objects the workers share.  The whole test suite is
 # single-threaded apart from these, so the targeted run is the honest TSan
@@ -118,7 +105,7 @@ echo "== tsan build + concurrency suites =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
 ctest --preset tsan -j "$jobs" \
-  -R 'ParallelRunner|ParallelPass|ParallelFor|SplitIndexRange|ProbGainBatch|ThreadPool|Runner|RuntimeRobustness|Deadline|CancelToken|FaultInjector|EngineEquivalence|ProbGainProperty|JobStore|Admission|Server|KWay'
+  -R 'ParallelRunner|ThreadPool|Runner|RuntimeRobustness|Deadline|CancelToken|FaultInjector|EngineEquivalence|ProbGainProperty|JobStore|Admission|Server|KWay'
 
 echo "== tsan service smoke =="
 ./build-tsan/bench/service_throughput --fast --jobs 40 --queue-limit 6 \
@@ -129,14 +116,6 @@ echo "== tsan parallel smoke =="
   > /dev/null
 ./build-tsan/tools/prop_cli --circuit t4 --algo prop --runs 4 --threads 2 \
   --time-budget-ms 1 --on-timeout=best > /dev/null
-# The round engine's parallel sweeps (gain snapshot, probability staging,
-# per-net product rebuild) under TSan — the data-race surface of DESIGN §4i.
-./build-tsan/tools/prop_cli --circuit balu --algo prop --runs 2 \
-  --pass-threads 4 > /dev/null
-# The k-way round engine plus multi-round barrier batching (§4k): entry
-# sweeps over dirty nodes and rounds_per_barrier pool engagement under TSan.
-./build-tsan/tools/prop_cli --circuit balu --algo prop --k 4 --runs 2 \
-  --pass-threads 4 --rounds-per-barrier 2 > /dev/null
 # K-way jobs across the parallel runner: each worker clones the whole
 # KWayPartitioner pipeline, so this exercises clone isolation under TSan.
 ./build-tsan/tools/prop_cli --circuit t4 --algo prop --k 4 --runs 4 \

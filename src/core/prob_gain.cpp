@@ -1,6 +1,5 @@
 #include "core/prob_gain.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -45,61 +44,6 @@ void ProbGainCalculator::reset() {
       zero_free_[2 * n + 1] = part_->pins_on_side(n, 1);
     }
   }
-  mark_all_dirty();
-}
-
-void ProbGainCalculator::set_dirty_tracking(bool on) {
-  if (on && !track_dirty_) {
-    const Hypergraph& g = part_->graph();
-    net_dirty_.assign(g.num_nets(), 0);
-    staged_changed_.assign(g.num_nodes(), 0);
-    dirty_nets_.clear();
-    dirty_nets_.reserve(g.num_nets());
-    all_dirty_ = true;
-  }
-  track_dirty_ = on;
-}
-
-void ProbGainCalculator::clear_dirty() {
-  for (const NetId n : dirty_nets_) net_dirty_[n] = 0;
-  dirty_nets_.clear();
-  all_dirty_ = false;
-}
-
-void ProbGainCalculator::mark_all_dirty() {
-  if (!track_dirty_) return;
-  for (const NetId n : dirty_nets_) net_dirty_[n] = 0;
-  dirty_nets_.clear();
-  std::fill(staged_changed_.begin(), staged_changed_.end(), 0);
-  all_dirty_ = true;
-}
-
-void ProbGainCalculator::mark_nets_of(NodeId u) {
-  if (!track_dirty_ || all_dirty_) return;
-  for (const NetId n : part_->graph().nets_of(u)) mark_net(n);
-}
-
-void ProbGainCalculator::note_staged_changes(const NodeId* nodes,
-                                             std::size_t count) {
-  if (!track_dirty_) return;
-  for (std::size_t i = 0; i < count; ++i) {
-    const NodeId u = nodes[i];
-    if (staged_changed_[u]) {
-      staged_changed_[u] = 0;
-      mark_nets_of(u);
-    }
-  }
-}
-
-void ProbGainCalculator::note_staged_changes_all() {
-  if (!track_dirty_) return;
-  const NodeId nodes = part_->graph().num_nodes();
-  for (NodeId u = 0; u < nodes; ++u) {
-    if (staged_changed_[u]) {
-      staged_changed_[u] = 0;
-      mark_nets_of(u);
-    }
-  }
 }
 
 void ProbGainCalculator::scratch_side(NetId n, int s, double& prod,
@@ -122,9 +66,6 @@ void ProbGainCalculator::renormalize_side(NetId n, int s) {
 }
 
 void ProbGainCalculator::renormalize_all() {
-  // Every cached product may pick up new bits, so per-net deltas are
-  // meaningless: the next sweep has to be full.
-  mark_all_dirty();
   if (!maintains_cache()) return;
   const NetId nets = part_->graph().num_nets();
   for (NetId n = 0; n < nets; ++n) {
@@ -160,7 +101,6 @@ void ProbGainCalculator::set_probability(NodeId u, double p) {
   if (locked_[u]) throw std::logic_error("prob gain: node is locked");
   if (p < 0.0 || p > 1.0) throw std::invalid_argument("prob gain: p out of [0,1]");
   const double old_p = p_[u];
-  if (p != old_p) mark_nets_of(u);
   // Commit the node's new state before touching the per-net cache: an epoch
   // renormalization firing inside update_factor recomputes from p_/locked_,
   // which must already describe the post-update world.
@@ -181,7 +121,6 @@ void ProbGainCalculator::lock(NodeId u) {
   if (locked_[u]) throw std::logic_error("prob gain: node already locked");
   const int s = part_->side(u);
   const double old_p = p_[u];
-  mark_nets_of(u);
   // As in set_probability: flag the lock first so a renormalization inside
   // update_factor already excludes u from the free products.
   locked_[u] = 1;
@@ -202,64 +141,8 @@ void ProbGainCalculator::lock(NodeId u) {
   }
 }
 
-void ProbGainCalculator::stage_probability(NodeId u, double p) {
-  if (locked_[u]) throw std::logic_error("prob gain: node is locked");
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("prob gain: p out of [0,1]");
-  // Per-node changed flag, set before the write: distinct nodes touch
-  // distinct slots, so concurrent staging stays race-free, and a later
-  // sequential note_staged_changes folds the flags into the dirty set.
-  if (track_dirty_ && p != p_[u]) staged_changed_[u] = 1;
-  p_[u] = p;
-  if (maintains_cache()) {
-    recip_[u] = p == 0.0 ? 0.0 : 1.0 / p;
-  }
-}
-
-void ProbGainCalculator::rebuild_products(NetId begin, NetId end) {
-  if (!maintains_cache()) return;
-  for (NetId n = begin; n < end; ++n) {
-    renormalize_side(n, 0);
-    renormalize_side(n, 1);
-  }
-}
-
-void ProbGainCalculator::rebuild_products_for(const NetId* nets,
-                                              std::size_t begin,
-                                              std::size_t end) {
-  if (!maintains_cache()) return;
-  for (std::size_t i = begin; i < end; ++i) {
-    renormalize_side(nets[i], 0);
-    renormalize_side(nets[i], 1);
-  }
-}
-
-void ProbGainCalculator::apply_moves(Partition& part, const NodeId* movers,
-                                     std::size_t count) {
-  if (&part != part_) {
-    throw std::logic_error("prob gain: apply_moves on a foreign partition");
-  }
-  const Hypergraph& g = part.graph();
-  for (std::size_t i = 0; i < count; ++i) {
-    const NodeId u = movers[i];
-    if (locked_[u]) throw std::logic_error("prob gain: mover already locked");
-    const int from = part.side(u);
-    mark_nets_of(u);
-    part.move(u);
-    locked_[u] = 1;
-    p_[u] = 0.0;
-    if (maintains_cache()) recip_[u] = 0.0;
-    // lock() would add u to locked_pins_[from] and move_locked() would then
-    // shift it to the destination; batched, only the destination increment
-    // survives.  Products are left stale for the caller's rebuild.
-    for (const NetId n : g.nets_of(u)) {
-      ++locked_pins_[2 * n + (1 - from)];
-    }
-  }
-}
-
 void ProbGainCalculator::move_locked(NodeId u, int from_side) {
   if (!locked_[u]) throw std::logic_error("prob gain: moved node must be locked");
-  mark_nets_of(u);
   // Locked pins are outside every free product, so only the locked-pin
   // table moves sides.
   for (const NetId n : part_->graph().nets_of(u)) {

@@ -107,93 +107,6 @@ class ProbGainCalculator {
   /// Records that locked node u moved sides (call after Partition::move).
   void move_locked(NodeId u, int from_side);
 
-  // --- Batched interface for the deterministic round engine (DESIGN §4i) --
-  //
-  // The parallel pass engine never drives the cache through the O(degree)
-  // incremental updates above.  Instead it writes per-node state in bulk
-  // from concurrent node-disjoint chunks (stage_probability), applies a
-  // whole round's committed moves in one deterministic sweep (apply_moves),
-  // and then rebuilds the per-(net, side) products by partitioned per-net
-  // reduction (rebuild_products over disjoint net ranges) — every slot is
-  // recomputed exactly once, in pin order, by whichever chunk owns the net,
-  // so the rebuilt cache is bit-identical to a scratch recompute and
-  // carries zero incremental drift regardless of how many threads ran.
-  //
-  // The read path is safe to share: gain() / for_each_net_gain() /
-  // removal_probability() are const, touch no mutable state, and
-  // renormalization only ever fires inside the write path — so any number
-  // of threads may query gains concurrently as long as no thread is inside
-  // one of the mutating calls.
-
-  /// Writes p(u) (and its cached reciprocal) WITHOUT maintaining the
-  /// per-(net, side) products; u must be free.  Concurrent calls for
-  /// distinct nodes are race-free (each touches only its own slots).  The
-  /// products of every net of every staged node are stale until the caller
-  /// runs rebuild_products over them.
-  void stage_probability(NodeId u, double p);
-
-  /// Exactly recomputes both (net, side) product slots and zero counters of
-  /// every net in [begin, end) from the pins — pin-order multiplication,
-  /// bit-identical to the scratch oracle — and restarts their
-  /// renormalization epochs.  Concurrent calls on disjoint net ranges are
-  /// race-free.  No-op under the scratch engine.
-  void rebuild_products(NetId begin, NetId end);
-
-  /// Applies one committed round of moves, in order: for each mover —
-  /// Partition::move, lock (p := 0), and the locked-pin table update — with
-  /// NO product maintenance.  `part` must be the partition this calculator
-  /// observes; the caller must rebuild_products over every touched net (or
-  /// all nets) before the next gain query.  Throws if a mover is already
-  /// locked.
-  void apply_moves(Partition& part, const NodeId* movers, std::size_t count);
-
-  // --- Active-set (dirty-net) tracking (DESIGN §4k) -----------------------
-  //
-  // Opt-in bookkeeping consumed by the delta-driven sweeps: when enabled,
-  // every mutation that can change any gain input of a net's pins — a
-  // probability change, a lock, a locked-pin side shift, a committed move,
-  // or a staged probability folded in through note_staged_changes — marks
-  // that net dirty (byte bitmap + append-once list, deterministic order).
-  // Full-state invalidations (reset, renormalize_all) raise all_dirty()
-  // instead: after an exact global renormalization every cached product may
-  // carry new bits, so no per-net delta is meaningful and the next sweep
-  // must be full.  Consumers sweep the pins of dirty_nets(), then
-  // clear_dirty().  Tracking is pure bookkeeping: no tracked call changes
-  // any cache bit, so enabling it never changes any gain.
-
-  /// Enables/disables tracking.  Enabling (re)starts in the all-dirty
-  /// state; buffers are sized on first enable (O(n + m); re-enabling reuses
-  /// them, allocation-free).
-  void set_dirty_tracking(bool on);
-  bool dirty_tracking() const noexcept { return track_dirty_; }
-
-  /// True when the next sweep must cover everything: tracking disabled, or
-  /// a full-state invalidation since the last clear_dirty().
-  bool all_dirty() const noexcept { return !track_dirty_ || all_dirty_; }
-
-  /// Nets marked dirty since the last clear_dirty(), in marking order
-  /// (deterministic, duplicate-free).  Meaningless while all_dirty().
-  const std::vector<NetId>& dirty_nets() const noexcept { return dirty_nets_; }
-
-  /// Leaves the all-dirty state / empties the dirty list.
-  void clear_dirty();
-
-  /// Sequentially folds staged probability changes into the dirty set: for
-  /// each listed node whose stage_probability call actually changed p since
-  /// the last note, marks its nets and clears the per-node changed flag.
-  /// The list must cover every node staged since the last note (a staged
-  /// node left unnoted would leak a stale flag into a later round).
-  void note_staged_changes(const NodeId* nodes, std::size_t count);
-  /// note_staged_changes over the full node range [0, num_nodes).
-  void note_staged_changes_all();
-
-  /// rebuild_products over an explicit net list: exactly recomputes both
-  /// product slots of nets[i] for i in [begin, end).  Concurrent calls on
-  /// disjoint index ranges are race-free (net lists from dirty_nets() are
-  /// duplicate-free).  No-op under the scratch engine.
-  void rebuild_products_for(const NetId* nets, std::size_t begin,
-                            std::size_t end);
-
   /// Probabilistic gain g(u) = sum over nets of u of g_n(u).
   /// O(degree(u)) cached, O(degree(u) * netsize) scratch.  Shadow returns
   /// the scratch answer after asserting the cached one agrees within
@@ -356,19 +269,6 @@ class ProbGainCalculator {
   void scratch_side(NetId n, int s, double& prod,
                     std::uint32_t& zeros) const;
 
-  /// Appends n to the dirty list once.  No-op while all_dirty_ is raised
-  /// (the list is already superseded).  Only called under track_dirty_.
-  void mark_net(NetId n) {
-    if (all_dirty_) return;
-    if (!net_dirty_[n]) {
-      net_dirty_[n] = 1;
-      dirty_nets_.push_back(n);
-    }
-  }
-  void mark_nets_of(NodeId u);
-  /// Raises all_dirty(), superseding (and emptying) the per-net list.
-  void mark_all_dirty();
-
   const Partition* part_;
   GainEngine engine_;
   int renorm_interval_;
@@ -383,13 +283,6 @@ class ProbGainCalculator {
   std::vector<std::uint32_t> zero_free_;  // free pins with p == 0
   std::vector<std::uint32_t> updates_;    // incremental updates this epoch
   std::vector<double> recip_;          // 1/p, 0 where p == 0
-
-  // Active-set state (sized by set_dirty_tracking; see the section above).
-  bool track_dirty_ = false;
-  bool all_dirty_ = true;
-  std::vector<std::uint8_t> net_dirty_;       // per net: on the dirty list?
-  std::vector<NetId> dirty_nets_;
-  std::vector<std::uint8_t> staged_changed_;  // per node: staged p changed?
 };
 
 }  // namespace prop

@@ -53,40 +53,6 @@ struct PropConfig {
 
   int max_passes = 64;
 
-  /// Intra-pass parallelism (DESIGN.md §4i).  0 — the default — runs the
-  /// classic sequential move-by-move engine of Fig. 2, byte-for-byte
-  /// unchanged.  N >= 1 switches to the deterministic round-based engine:
-  /// each round every free node's probabilistic gain is computed
-  /// concurrently against a read-only snapshot of the cached products, a
-  /// deterministic conflict-resolution walk (gain-ordered, id tie-broken,
-  /// balance-prefix-feasible, net-disjoint) commits a compatible subset of
-  /// moves, and the product cache is rebuilt by partitioned per-net
-  /// reduction.  N = 1 is the serial reference execution of that engine —
-  /// the oracle — and every N >= 2 runs the same rounds on N threads
-  /// (1 owned pool of N-1 workers + the calling thread) producing
-  /// byte-identical partitions and stats for any N.  Note the round engine
-  /// is a different (synchronous) schedule from the sequential engine, so
-  /// its cuts legitimately differ from pass_threads = 0.
-  int pass_threads = 0;
-
-  /// Round batching for the round engine (DESIGN §4k): the worker pool is
-  /// only engaged on every `rounds_per_barrier`-th round; the rounds in
-  /// between run inline on the calling thread, skipping the fork/join
-  /// barriers that dominate on small instances.  Chunking never affects
-  /// any computed value, so output stays byte-identical for every setting.
-  /// 1 (default) keeps the one-barrier-per-round schedule; ignored when
-  /// pass_threads == 0.
-  int rounds_per_barrier = 1;
-
-  /// Debug/bench reference mode for the round engine (DESIGN §4k): forces
-  /// every round to sweep gains of ALL free nodes and rebuild ALL nets —
-  /// the pre-active-set schedule — instead of only those incident to nets
-  /// dirtied since the previous round.  Output is byte-identical either
-  /// way (the active-set sweep is an exact-identity optimization); this
-  /// knob exists so benches and property tests can measure and assert
-  /// that.  Ignored when pass_threads == 0.
-  bool full_sweep_rounds = false;
-
   /// Opt-in per-pass trajectory recording; null records nothing.
   RefineTelemetry* telemetry = nullptr;
 

@@ -17,7 +17,6 @@
 #include "datastruct/avl_tree.h"
 #include "partition/partition.h"
 #include "partition/partitioner.h"
-#include "util/thread_pool.h"
 
 namespace prop {
 
@@ -39,9 +38,7 @@ class PropRefiner {
   /// Runs one PROP pass (steps 3-10 of Fig. 2): bootstrap probabilities,
   /// speculatively move every feasible node by probabilistic gain, roll
   /// back to the maximum prefix of immediate gains.  Returns the accepted
-  /// improvement.  Dispatches to the sequential move-by-move engine
-  /// (PropConfig::pass_threads == 0) or the deterministic round engine
-  /// (pass_threads >= 1, DESIGN §4i).
+  /// improvement.
   double run_pass(PassStats* stats = nullptr);
 
   /// Deadline/cancellation stopped the last pass early (sticky).
@@ -57,33 +54,7 @@ class PropRefiner {
  private:
   using GainTree = AvlTree<double>;
 
-  double run_sequential_pass(PassStats* stats);
-  double run_round_pass(PassStats* stats);
   void bootstrap_probabilities();
-  /// Round-engine bootstrap: same fixed point as bootstrap_probabilities,
-  /// but via bulk staging + partitioned product rebuilds + node-major
-  /// parallel gain sweeps, so the result is byte-identical for any thread
-  /// count.  Leaves gains_ filled.
-  void bootstrap_probabilities_parallel();
-  /// Expands the calculator's dirty nets into sweep_nodes_ — the sorted,
-  /// duplicate-free list of free nodes incident to a net whose gain inputs
-  /// changed since the previous sweep — and consumes the dirty set.
-  /// Returns false (sweep everything) from the all-dirty state.
-  bool collect_sweep_nodes();
-  /// Parallel node-major sweep: gains_[u] = calc_.gain(u) for every node
-  /// (locked nodes read 0).  Disjoint writes against a read-only snapshot.
-  void parallel_gain_sweep(ThreadPool* pool);
-  /// The active-set variant: recomputes gains_ of sweep_nodes_ only.  Every
-  /// other node's stored gain is still bitwise current (none of its nets
-  /// changed), so the combined gains_ array equals a full sweep's exactly.
-  void parallel_gain_sweep_dirty(ThreadPool* pool);
-  /// Stages p(u) = f(gains_[u]) — for every free node, or for sweep_nodes_
-  /// only when `dirty_only` (unswept nodes would restage unchanged bits) —
-  /// then rebuilds the stale cached (net, side) products by partitioned
-  /// per-net reduction: all nets in the all-dirty state, else exactly the
-  /// dirty ones (a clean net's stored product already equals its exact
-  /// recompute, so skipping it is an identity).
-  void stage_probabilities_and_rebuild(ThreadPool* pool, bool dirty_only);
   void refresh_node(NodeId v, PassStats* stats);
   void resync_gains(PassStats* stats);
   double audit(PassStats* stats, bool expect_scratch_match) const;
@@ -105,22 +76,6 @@ class PropRefiner {
   // Pass-start (gain, node) staging for the sorted bulk load of the trees.
   std::vector<std::pair<double, NodeId>> sort_scratch_[2];
   std::uint32_t stamp_ = 0;
-
-  // Round-engine state (pass_threads >= 1 only; empty/null otherwise).
-  // pass_pool_ holds pass_threads - 1 workers — the calling thread runs the
-  // first chunk of every parallel_for — or stays null at pass_threads == 1,
-  // the serial reference execution.
-  std::unique_ptr<ThreadPool> pass_pool_;
-  std::vector<std::pair<double, NodeId>> round_order_;
-  std::vector<std::uint32_t> net_stamp_;
-  std::uint32_t round_stamp_ = 0;
-  // Active-set sweep list (DESIGN §4k), filled by collect_sweep_nodes.
-  std::vector<NodeId> sweep_nodes_;
-  // Still-free nodes, compacted in place each round so candidate
-  // collection is O(free) rather than O(n).  Order is irrelevant to the
-  // candidate heap (pop order depends only on the values), but compaction
-  // is stable anyway.
-  std::vector<NodeId> free_candidates_;
 
   bool interrupted_ = false;
   bool fallback_to_fm_ = false;

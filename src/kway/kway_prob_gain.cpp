@@ -1,6 +1,5 @@
 #include "kway/kway_prob_gain.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -37,62 +36,6 @@ void KWayProbGainCalculator::reset() {
       }
     }
   }
-  mark_all_dirty();
-}
-
-void KWayProbGainCalculator::set_dirty_tracking(bool on) {
-  if (on && !track_dirty_) {
-    const Hypergraph& g = state_->graph();
-    net_dirty_.assign(g.num_nets(), 0);
-    staged_changed_.assign(g.num_nodes(), 0);
-    dirty_nets_.clear();
-    dirty_nets_.reserve(g.num_nets());
-    all_dirty_ = true;
-  }
-  track_dirty_ = on;
-}
-
-void KWayProbGainCalculator::clear_dirty() {
-  for (const NetId n : dirty_nets_) net_dirty_[n] = 0;
-  dirty_nets_.clear();
-  all_dirty_ = false;
-}
-
-void KWayProbGainCalculator::mark_all_dirty() {
-  if (!track_dirty_) return;
-  for (const NetId n : dirty_nets_) net_dirty_[n] = 0;
-  dirty_nets_.clear();
-  std::fill(staged_changed_.begin(), staged_changed_.end(),
-            static_cast<std::uint8_t>(0));
-  all_dirty_ = true;
-}
-
-void KWayProbGainCalculator::mark_nets_of(NodeId u) {
-  if (!track_dirty_ || all_dirty_) return;
-  for (const NetId n : state_->graph().nets_of(u)) mark_net(n);
-}
-
-void KWayProbGainCalculator::note_staged_changes(const NodeId* nodes,
-                                                 std::size_t count) {
-  if (!track_dirty_) return;
-  for (std::size_t i = 0; i < count; ++i) {
-    const NodeId u = nodes[i];
-    if (staged_changed_[u]) {
-      staged_changed_[u] = 0;
-      mark_nets_of(u);
-    }
-  }
-}
-
-void KWayProbGainCalculator::note_staged_changes_all() {
-  if (!track_dirty_) return;
-  const NodeId nodes = state_->graph().num_nodes();
-  for (NodeId u = 0; u < nodes; ++u) {
-    if (staged_changed_[u]) {
-      staged_changed_[u] = 0;
-      mark_nets_of(u);
-    }
-  }
 }
 
 void KWayProbGainCalculator::scratch_part(NetId n, NodeId p, double& prod,
@@ -115,9 +58,6 @@ void KWayProbGainCalculator::renormalize_slot(NetId n, NodeId p) {
 }
 
 void KWayProbGainCalculator::renormalize_all() {
-  // An exact global renormalization may rewrite the bits of every cached
-  // product, so no per-net delta is meaningful afterwards.
-  mark_all_dirty();
   if (!maintains_cache()) return;
   const NetId nets = state_->graph().num_nets();
   for (NetId n = 0; n < nets; ++n) {
@@ -152,7 +92,6 @@ void KWayProbGainCalculator::set_probability(NodeId u, double p) {
     throw std::invalid_argument("kway prob gain: p out of [0,1]");
   }
   const double old_p = p_[u];
-  if (p != old_p) mark_nets_of(u);
   // Commit the node's new state before touching the per-net cache: an epoch
   // renormalization firing inside update_factor recomputes from p_/locked_,
   // which must already describe the post-update world.
@@ -175,7 +114,6 @@ void KWayProbGainCalculator::lock(NodeId u) {
   }
   const NodeId a = state_->part(u);
   const double old_p = p_[u];
-  mark_nets_of(u);
   // Flag the lock first so a renormalization inside update_factor already
   // excludes u from the free products.
   locked_[u] = 1;
@@ -199,71 +137,12 @@ void KWayProbGainCalculator::move_locked(NodeId u, NodeId from_part) {
   if (!locked_[u]) {
     throw std::logic_error("kway prob gain: moved node must be locked");
   }
-  mark_nets_of(u);
   const NodeId to = state_->part(u);
   // Locked pins are outside every free product, so only the locked-pin
   // table moves parts.
   for (const NetId n : state_->graph().nets_of(u)) {
     --locked_pins_[slot(n, from_part)];
     ++locked_pins_[slot(n, to)];
-  }
-}
-
-void KWayProbGainCalculator::stage_probability(NodeId u, double p) {
-  if (locked_[u]) throw std::logic_error("kway prob gain: node is locked");
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("kway prob gain: p out of [0,1]");
-  }
-  // Flag-then-write keeps concurrent stagings of distinct nodes race-free:
-  // the flag is folded into the dirty set later, sequentially, by
-  // note_staged_changes.
-  if (track_dirty_ && p != p_[u]) staged_changed_[u] = 1;
-  p_[u] = p;
-  if (maintains_cache()) recip_[u] = p == 0.0 ? 0.0 : 1.0 / p;
-}
-
-void KWayProbGainCalculator::rebuild_products(NetId begin, NetId end) {
-  if (!maintains_cache()) return;
-  for (NetId n = begin; n < end; ++n) {
-    for (NodeId p = 0; p < k_; ++p) renormalize_slot(n, p);
-  }
-}
-
-void KWayProbGainCalculator::rebuild_products_for(const NetId* nets,
-                                                  std::size_t begin,
-                                                  std::size_t end) {
-  if (!maintains_cache()) return;
-  for (std::size_t i = begin; i < end; ++i) {
-    const NetId n = nets[i];
-    for (NodeId p = 0; p < k_; ++p) renormalize_slot(n, p);
-  }
-}
-
-void KWayProbGainCalculator::apply_moves(KWayState& state,
-                                         const NodeId* movers,
-                                         const NodeId* targets,
-                                         std::size_t count) {
-  if (&state != state_) {
-    throw std::logic_error("kway prob gain: apply_moves on foreign state");
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const NodeId u = movers[i];
-    const NodeId to = targets[i];
-    if (locked_[u]) {
-      throw std::logic_error("kway prob gain: mover already locked");
-    }
-    // Moving changes no net membership of u, so the dirty marks are the
-    // same before or after the move.
-    mark_nets_of(u);
-    locked_[u] = 1;
-    p_[u] = 0.0;
-    if (maintains_cache()) recip_[u] = 0.0;
-    state.move(u, to);
-    // The locked pin lands on the target part; every product slot of u's
-    // nets is stale until the caller rebuilds.
-    for (const NetId n : state.graph().nets_of(u)) {
-      ++locked_pins_[slot(n, to)];
-    }
   }
 }
 

@@ -72,76 +72,6 @@ class KWayProbGainCalculator {
   /// (call after KWayState::move).
   void move_locked(NodeId u, NodeId from_part);
 
-  // --- Batched interface for the deterministic round engine (DESIGN §4i) --
-  //
-  // The k-way mirror of ProbGainCalculator's batched interface: per-node
-  // state written in bulk from node-disjoint chunks (stage_probability), a
-  // whole round's committed moves applied in one deterministic sweep
-  // (apply_moves), and the per-(net, part) products rebuilt exactly by
-  // partitioned per-net reduction — every slot recomputed once, in pin
-  // order, so the rebuilt cache is bit-identical to a scratch recompute for
-  // any thread count.  The read path (gain / net_gain) is const and safe to
-  // share while no thread is inside a mutating call.
-
-  /// Writes p(u) (and its cached reciprocal) WITHOUT maintaining the
-  /// per-(net, part) products; u must be free.  Concurrent calls for
-  /// distinct nodes are race-free.  Every product slot of every net of a
-  /// staged node is stale until rebuilt.
-  void stage_probability(NodeId u, double p);
-
-  /// Exactly recomputes all k product slots and zero counters of every net
-  /// in [begin, end) from the pins — pin-order multiplication, bit-identical
-  /// to the scratch oracle — and restarts their renormalization epochs.
-  /// Concurrent calls on disjoint net ranges are race-free.  No-op under
-  /// the scratch engine.
-  void rebuild_products(NetId begin, NetId end);
-
-  /// rebuild_products over an explicit net list: recomputes every slot of
-  /// nets[i] for i in [begin, end).  Concurrent calls on disjoint index
-  /// ranges are race-free (lists from dirty_nets() are duplicate-free).
-  void rebuild_products_for(const NetId* nets, std::size_t begin,
-                            std::size_t end);
-
-  /// Applies one committed round of moves, in order: for each mover i —
-  /// lock (p := 0), KWayState::move to targets[i], locked-pin table update
-  /// — with NO product maintenance.  `state` must be the state this
-  /// calculator observes; the caller must rebuild the products of every
-  /// touched net (or all nets) before the next gain query.  Throws if a
-  /// mover is already locked.
-  void apply_moves(KWayState& state, const NodeId* movers,
-                   const NodeId* targets, std::size_t count);
-
-  // --- Active-set (dirty-net) tracking (DESIGN §4k) -----------------------
-  //
-  // Identical contract to ProbGainCalculator's: every mutation that can
-  // change a gain input of a net's pins marks that net dirty (byte bitmap +
-  // append-once list); full-state invalidations (reset, renormalize_all)
-  // raise all_dirty() instead.  Pure bookkeeping — no tracked call changes
-  // any cache bit, so enabling tracking never changes any gain.
-
-  /// Enables/disables tracking.  Enabling (re)starts in the all-dirty
-  /// state; buffers are sized on first enable (re-enabling reuses them).
-  void set_dirty_tracking(bool on);
-  bool dirty_tracking() const noexcept { return track_dirty_; }
-
-  /// True when the next sweep must cover everything: tracking disabled, or
-  /// a full-state invalidation since the last clear_dirty().
-  bool all_dirty() const noexcept { return !track_dirty_ || all_dirty_; }
-
-  /// Nets marked dirty since the last clear_dirty(), in marking order
-  /// (deterministic, duplicate-free).  Meaningless while all_dirty().
-  const std::vector<NetId>& dirty_nets() const noexcept { return dirty_nets_; }
-
-  /// Leaves the all-dirty state / empties the dirty list.
-  void clear_dirty();
-
-  /// Sequentially folds staged probability changes into the dirty set: for
-  /// each listed node whose stage_probability call actually changed p since
-  /// the last note, marks its nets and clears the per-node changed flag.
-  void note_staged_changes(const NodeId* nodes, std::size_t count);
-  /// note_staged_changes over the full node range [0, num_nodes).
-  void note_staged_changes_all();
-
   /// Probabilistic gain of moving u to part `to`: sum over u's nets of the
   /// per-net gain above.  O(degree(u)) cached, O(degree(u) * netsize)
   /// scratch; shadow answers scratch after cross-checking the cache
@@ -194,19 +124,6 @@ class KWayProbGainCalculator {
 
   void renormalize_slot(NetId n, NodeId p);
 
-  /// Appends n to the dirty list once.  No-op while all_dirty_ is raised.
-  /// Only called under track_dirty_.
-  void mark_net(NetId n) {
-    if (all_dirty_) return;
-    if (!net_dirty_[n]) {
-      net_dirty_[n] = 1;
-      dirty_nets_.push_back(n);
-    }
-  }
-  void mark_nets_of(NodeId u);
-  /// Raises all_dirty(), superseding (and emptying) the per-net list.
-  void mark_all_dirty();
-
   /// Scratch recompute of (product of nonzero free-pin probabilities, zero
   /// count) for one part of a net, multiplying in pin order.
   void scratch_part(NetId n, NodeId p, double& prod,
@@ -226,13 +143,6 @@ class KWayProbGainCalculator {
   std::vector<std::uint32_t> zero_free_;
   std::vector<std::uint32_t> updates_;
   std::vector<double> recip_;
-
-  // Active-set state (sized by set_dirty_tracking; see the section above).
-  bool track_dirty_ = false;
-  bool all_dirty_ = true;
-  std::vector<std::uint8_t> net_dirty_;       // per net: on the dirty list?
-  std::vector<NetId> dirty_nets_;
-  std::vector<std::uint8_t> staged_changed_;  // per node: staged p changed?
 };
 
 }  // namespace prop

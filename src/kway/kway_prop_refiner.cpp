@@ -2,19 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/round_policy.h"
 #include "datastruct/avl_tree.h"
 #include "datastruct/kway_gain_entry.h"
 #include "kway/kway_state.h"
 #include "runtime/run_context.h"
 #include "telemetry/telemetry.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace prop {
@@ -52,17 +48,6 @@ class PassEngine {
         config.top_update_width > 0
             ? static_cast<std::size_t>(config.top_update_width)
             : 0);
-    if (config.pass_threads >= 1) {
-      entries_.assign(g.num_nodes(), KWayGainEntry{});
-      round_order_.reserve(g.num_nodes());
-      free_candidates_.reserve(g.num_nodes());
-      sweep_nodes_.reserve(g.num_nodes());
-      net_stamp_.assign(g.num_nets(), 0);
-      calc_.set_dirty_tracking(true);
-      if (config.pass_threads >= 2) {
-        pass_pool_ = std::make_unique<ThreadPool>(config.pass_threads - 1);
-      }
-    }
   }
 
   bool interrupted() const noexcept { return interrupted_; }
@@ -74,16 +59,8 @@ class PassEngine {
   }
 
   /// One speculative pass; returns the accepted exact-objective improvement
-  /// (the best prefix, everything past it rolled back).  Dispatches to the
-  /// sequential tree-driven engine (pass_threads == 0) or the deterministic
-  /// round engine (pass_threads >= 1, DESIGN §4i/§4k).
+  /// (the best prefix, everything past it rolled back).
   double run_pass(PassStats* stats) {
-    return config_.pass_threads >= 1 ? run_round_pass(stats)
-                                     : run_sequential_pass(stats);
-  }
-
- private:
-  double run_sequential_pass(PassStats* stats) {
     calc_.reset();
     bootstrap_probabilities();
     load_tree();
@@ -149,294 +126,7 @@ class PassEngine {
     return best_prefix;
   }
 
-  /// One k-way pass as synchronous move rounds — the §4i schedule with
-  /// KWayGainEntry target payloads, active-set sweeps per §4k.  Each round:
-  /// (1) free nodes' best moves (gain + target) are snapshotted in parallel
-  /// against the round-start probabilities and cached products — all of
-  /// them on a full-sweep round, otherwise only nodes on nets dirtied since
-  /// the previous sweep (everyone else's stored entry is bitwise what the
-  /// full sweep would recompute, since none of its nets' slots or pin
-  /// counts changed);
-  /// (2) candidates are heap-ordered deterministically (gain descending,
-  /// node id ascending — a strict total order, so lazy pops visit exactly
-  /// the sorted sequence);
-  /// (3) a sequential walk commits the maximal ordered subset that is
-  /// window-feasible against the live part sizes and net-disjoint within
-  /// the round.  The snapshotted target is the only move tried — a live
-  /// fallback would read mid-walk state and break snapshot purity.  For a
-  /// committed (net-disjoint) mover the live objective gain equals its
-  /// round-start value;
-  /// (4) survivors' probabilities are restaged from the snapshot entries
-  /// and the stale products rebuilt by partitioned per-net reduction (all
-  /// nets when all-dirty, else exactly the dirty ones).
-  /// Byte-identical for any pass_threads >= 1; pass_threads == 1 is the
-  /// serial reference execution of the same code.
-  double run_round_pass(PassStats* stats) {
-    const NodeId n = g_.num_nodes();
-    // Full-sweep reference mode disables tracking outright: all_dirty()
-    // then always reads true and every round takes the sweep-everything /
-    // rebuild-everything branches.
-    calc_.set_dirty_tracking(!config_.full_sweep_rounds);
-    calc_.reset();
-
-    // Stamp-epoch rewinds before anything can wrap: one net stamp per
-    // round (at most n rounds per pass), one visit stamp per
-    // collect_sweep_nodes call.
-    if (static_cast<std::uint64_t>(round_stamp_) + n + 2 >=
-        static_cast<std::uint32_t>(-1)) {
-      std::fill(net_stamp_.begin(), net_stamp_.end(), 0);
-      round_stamp_ = 0;
-    }
-    const std::uint64_t iters =
-        config_.refine_iterations > 0 ? config_.refine_iterations : 0;
-    if (static_cast<std::uint64_t>(stamp_value_) + n + iters + 2 >=
-        static_cast<std::uint32_t>(-1)) {
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      stamp_value_ = 0;
-    }
-
-    bootstrap_probabilities_parallel();
-
-    // Every node is free after reset(); compacted as the walk locks movers.
-    free_candidates_.resize(n);
-    for (NodeId u = 0; u < n; ++u) free_candidates_[u] = u;
-
-    moved_.clear();
-    double prefix = 0.0;
-    double best_prefix = 0.0;
-    std::size_t best_count = 0;
-    const RunContext* ctx = config_.context;
-
-    const std::uint64_t rounds_per_barrier =
-        config_.rounds_per_barrier < 1 ? 1 : config_.rounds_per_barrier;
-    std::uint64_t round_index = 0;
-
-    while (true) {
-      if (ctx && ctx->refine_should_stop()) {
-        interrupted_ = true;
-        break;
-      }
-      // Barrier batching (DESIGN §4k): only every rounds_per_barrier-th
-      // round engages the worker pool; the rest run inline.  Chunk layout
-      // never affects any computed value.
-      ThreadPool* pool =
-          round_index % rounds_per_barrier == 0 ? pass_pool_.get() : nullptr;
-      ++round_index;
-
-      // (1) Snapshot best entries.
-      const bool dirty = collect_sweep_nodes();
-      if (dirty) {
-        parallel_entry_sweep_dirty(pool);
-      } else {
-        parallel_entry_sweep(pool);
-      }
-
-      // (2) Candidate heap (gain desc, id asc — strict total order).
-      round_order_.clear();
-      std::size_t kept = 0;
-      for (const NodeId u : free_candidates_) {
-        if (!calc_.is_free(u)) continue;
-        free_candidates_[kept++] = u;
-        round_order_.emplace_back(entries_[u].gain, u);
-      }
-      free_candidates_.resize(kept);
-      if (round_order_.empty()) break;
-      const auto cand_below = [](const std::pair<double, NodeId>& a,
-                                 const std::pair<double, NodeId>& b) {
-        if (a.first != b.first) return a.first < b.first;
-        return a.second > b.second;
-      };
-      std::make_heap(round_order_.begin(), round_order_.end(), cand_below);
-
-      // (3) Sequential conflict-resolution walk.
-      const std::size_t max_commits = round_commit_cap(round_order_.size());
-      ++round_stamp_;
-      const std::size_t round_begin = moved_.size();
-      while (!round_order_.empty()) {
-        if (moved_.size() - round_begin >= max_commits) break;
-        std::pop_heap(round_order_.begin(), round_order_.end(), cand_below);
-        const NodeId u = round_order_.back().second;
-        round_order_.pop_back();
-        const NodeId from = state_.part(u);
-        const NodeId to = entries_[u].target;
-        const std::int64_t sz = g_.node_size(u);
-        // The snapshotted target is the only move tried: a live
-        // best-feasible fallback (as in the sequential engine) would read
-        // part sizes and gains the walk itself is mutating.
-        if (to == from || state_.part_size(from) - sz < window_.lo ||
-            state_.part_size(to) + sz > window_.hi) {
-          continue;
-        }
-        bool conflict = false;
-        for (const NetId net : g_.nets_of(u)) {
-          if (net_stamp_[net] == round_stamp_) {
-            conflict = true;
-            break;
-          }
-        }
-        if (conflict) continue;
-        for (const NetId net : g_.nets_of(u)) net_stamp_[net] = round_stamp_;
-
-        // Net-disjointness makes the live objective gain equal to its
-        // round-start snapshot value: no net of u changed this round.
-        const double immediate = objective_gain(u, to);
-        calc_.apply_moves(state_, &u, &to, 1);
-        moved_.push_back({u, from});
-        prefix += immediate;
-        if (prefix > best_prefix + kEps) {
-          best_prefix = prefix;
-          best_count = moved_.size();
-        }
-      }
-      if (stats) ++stats->rounds;
-      if (moved_.size() == round_begin) break;  // nothing movable: pass over
-
-      // (4) Refresh probabilities from the snapshot entries, rebuild cache.
-      stage_entries_and_rebuild(pool, dirty);
-    }
-
-    // Roll back everything past the best exact-gain prefix, newest first.
-    for (std::size_t i = moved_.size(); i > best_count; --i) {
-      state_.move(moved_[i - 1].node, moved_[i - 1].from);
-    }
-    if (stats) {
-      stats->moves_attempted = moved_.size();
-      stats->moves_accepted = best_count;
-      stats->best_prefix_gain = best_prefix;
-    }
-    return best_prefix;
-  }
-
-  /// Expands the calculator's dirty nets into sweep_nodes_ (sorted,
-  /// duplicate-free free nodes incident to a dirty net) and consumes the
-  /// dirty set.  Returns false (sweep everything) from the all-dirty state.
-  bool collect_sweep_nodes() {
-    if (calc_.all_dirty()) {
-      calc_.clear_dirty();
-      return false;
-    }
-    sweep_nodes_.clear();
-    ++stamp_value_;
-    for (const NetId net : calc_.dirty_nets()) {
-      for (const NodeId v : g_.pins_of(net)) {
-        if (!calc_.is_free(v) || stamp_[v] == stamp_value_) continue;
-        stamp_[v] = stamp_value_;
-        sweep_nodes_.push_back(v);
-      }
-    }
-    // Ascending node order: values never depend on it, deterministic
-    // chunking of the parallel dirty sweep does.
-    std::sort(sweep_nodes_.begin(), sweep_nodes_.end());
-    calc_.clear_dirty();
-    return true;
-  }
-
-  /// Parallel node-major snapshot of every node's best entry (locked nodes
-  /// get the zero entry; their slots are never read).
-  void parallel_entry_sweep(ThreadPool* pool) {
-    parallel_for(pool, g_.num_nodes(),
-                 [this](std::size_t begin, std::size_t end) {
-                   for (std::size_t u = begin; u < end; ++u) {
-                     const NodeId v = static_cast<NodeId>(u);
-                     entries_[v] =
-                         calc_.is_free(v) ? best_entry(v) : KWayGainEntry{};
-                   }
-                 });
-  }
-
-  /// Active-set variant: re-snapshots entries_ of sweep_nodes_ only.  Every
-  /// other free node's stored entry is bitwise current — none of its nets'
-  /// products, locked-pin counts or pin counts changed.
-  void parallel_entry_sweep_dirty(ThreadPool* pool) {
-    parallel_for(pool, sweep_nodes_.size(),
-                 [this](std::size_t begin, std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     const NodeId v = sweep_nodes_[i];
-                     entries_[v] = best_entry(v);
-                   }
-                 });
-  }
-
-  /// Stages p(u) = f(entries_[u].gain) — for every free node, or for
-  /// sweep_nodes_ only when `dirty_only` (unswept nodes would restage
-  /// unchanged bits) — then rebuilds the stale (net, part) products: all
-  /// nets in the all-dirty state, else exactly the dirty ones (a clean
-  /// net's stored products already equal their exact recompute).
-  void stage_entries_and_rebuild(ThreadPool* pool, bool dirty_only) {
-    const ProbabilityModel& model = config_.model;
-    if (dirty_only) {
-      parallel_for(pool, sweep_nodes_.size(),
-                   [this, &model](std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       const NodeId v = sweep_nodes_[i];
-                       if (calc_.is_free(v)) {
-                         calc_.stage_probability(
-                             v, model.from_gain(entries_[v].gain));
-                       }
-                     }
-                   });
-      calc_.note_staged_changes(sweep_nodes_.data(), sweep_nodes_.size());
-    } else {
-      parallel_for(pool, g_.num_nodes(),
-                   [this, &model](std::size_t begin, std::size_t end) {
-                     for (std::size_t u = begin; u < end; ++u) {
-                       const NodeId v = static_cast<NodeId>(u);
-                       if (calc_.is_free(v)) {
-                         calc_.stage_probability(
-                             v, model.from_gain(entries_[v].gain));
-                       }
-                     }
-                   });
-      calc_.note_staged_changes_all();
-    }
-    if (calc_.all_dirty()) {
-      parallel_for(pool, g_.num_nets(),
-                   [this](std::size_t begin, std::size_t end) {
-                     calc_.rebuild_products(static_cast<NetId>(begin),
-                                            static_cast<NetId>(end));
-                   });
-    } else {
-      // Read non-destructively: the next round's sweep consumes this set.
-      const std::vector<NetId>& dirty_nets = calc_.dirty_nets();
-      parallel_for(pool, dirty_nets.size(),
-                   [this, &dirty_nets](std::size_t begin, std::size_t end) {
-                     calc_.rebuild_products_for(dirty_nets.data(), begin, end);
-                   });
-    }
-  }
-
-  /// Round-engine bootstrap: the same pinit fixed point as
-  /// bootstrap_probabilities, via bulk staging + partitioned rebuilds +
-  /// node-major parallel entry sweeps — byte-identical for any thread
-  /// count.  Leaves entries_ filled.
-  void bootstrap_probabilities_parallel() {
-    ThreadPool* pool = pass_pool_.get();
-    const double pinit = config_.model.pinit;
-    parallel_for(pool, g_.num_nodes(),
-                 [this, pinit](std::size_t begin, std::size_t end) {
-                   for (std::size_t u = begin; u < end; ++u) {
-                     calc_.stage_probability(static_cast<NodeId>(u), pinit);
-                   }
-                 });
-    // All-dirty straight after reset, so this marks nothing — it just
-    // clears the per-node staged flags ahead of the first tracked round.
-    calc_.note_staged_changes_all();
-    parallel_for(pool, g_.num_nets(),
-                 [this](std::size_t begin, std::size_t end) {
-                   calc_.rebuild_products(static_cast<NetId>(begin),
-                                          static_cast<NetId>(end));
-                 });
-    for (int it = 0; it < config_.refine_iterations; ++it) {
-      const bool dirty = collect_sweep_nodes();
-      if (dirty) {
-        parallel_entry_sweep_dirty(pool);
-      } else {
-        parallel_entry_sweep(pool);
-      }
-      stage_entries_and_rebuild(pool, dirty);
-    }
-  }
-
+ private:
   double objective_gain(NodeId u, NodeId to) const {
     return config_.objective == KWayObjective::kCut
                ? state_.cut_gain(u, to)
@@ -573,19 +263,6 @@ class PassEngine {
   std::vector<MoveRecord> moved_;
   std::vector<std::pair<KWayGainEntry, GainTree::Handle>> sort_scratch_;
   std::vector<GainTree::Handle> top_scratch_;
-
-  // Round-engine state (pass_threads >= 1 only; empty/null otherwise).
-  // pass_pool_ holds pass_threads - 1 workers — the calling thread runs
-  // the first chunk of every parallel_for — or stays null at
-  // pass_threads == 1, the serial reference execution.
-  std::unique_ptr<ThreadPool> pass_pool_;
-  std::vector<KWayGainEntry> entries_;
-  std::vector<std::pair<double, NodeId>> round_order_;
-  std::vector<NodeId> free_candidates_;
-  std::vector<NodeId> sweep_nodes_;
-  std::vector<std::uint32_t> net_stamp_;
-  std::uint32_t round_stamp_ = 0;
-
   bool interrupted_ = false;
 };
 

@@ -41,31 +41,6 @@ struct KWayPropConfig {
   int top_update_width = 5;
   int max_passes = 64;
   KWayObjective objective = KWayObjective::kConnectivity;
-
-  /// Intra-pass parallelism, mirroring PropConfig::pass_threads (DESIGN
-  /// §4i).  0 — the default — runs the sequential tree-driven engine above,
-  /// byte-for-byte unchanged.  N >= 1 switches to the deterministic round
-  /// engine: every free node's best move (KWayGainEntry) is snapshotted
-  /// concurrently against the read-only cached products, a deterministic
-  /// conflict-resolution walk (gain-ordered, id tie-broken, window-feasible,
-  /// net-disjoint, sqrt commit cap) commits a compatible subset, and the
-  /// per-(net, part) products are rebuilt by partitioned per-net reduction.
-  /// N = 1 is the serial reference execution; every N >= 2 produces
-  /// byte-identical partitions and stats.  Like 2-way, the round engine is
-  /// a different (synchronous) schedule, so its cuts legitimately differ
-  /// from pass_threads = 0.
-  int pass_threads = 0;
-
-  /// Round batching (DESIGN §4k): the worker pool is engaged only on every
-  /// Nth round, the rest run inline.  Output byte-identical for every
-  /// setting; ignored when pass_threads == 0.
-  int rounds_per_barrier = 1;
-
-  /// Debug/bench reference mode: every round sweeps all free nodes and
-  /// rebuilds all nets — the pre-active-set schedule.  Output is
-  /// byte-identical either way; ignored when pass_threads == 0.
-  bool full_sweep_rounds = false;
-
   RefineTelemetry* telemetry = nullptr;
   const RunContext* context = nullptr;
 };

@@ -31,9 +31,7 @@ std::optional<KWayObjective> parse_kway_objective(const std::string& name) {
 }
 
 std::unique_ptr<Bipartitioner> make_algo(const std::string& name,
-                                         GainEngine gain_engine,
-                                         int pass_threads,
-                                         int rounds_per_barrier) {
+                                         GainEngine gain_engine) {
   if (name == "fm") return std::make_unique<FmPartitioner>();
   if (name == "fm-tree") {
     return std::make_unique<FmPartitioner>(FmConfig{FmStructure::kTree});
@@ -44,8 +42,6 @@ std::unique_ptr<Bipartitioner> make_algo(const std::string& name,
   if (name == "prop") {
     PropConfig config;
     config.gain_engine = gain_engine;
-    config.pass_threads = pass_threads < 0 ? 0 : pass_threads;
-    config.rounds_per_barrier = rounds_per_barrier < 1 ? 1 : rounds_per_barrier;
     return std::make_unique<PropPartitioner>(config);
   }
   if (name == "eig1") return std::make_unique<Eig1Partitioner>();
@@ -65,22 +61,14 @@ std::unique_ptr<Bipartitioner> make_kway_algo(const std::string& base,
                                               NodeId k,
                                               KWayRefinerKind refiner,
                                               KWayObjective objective,
-                                              GainEngine gain_engine,
-                                              int pass_threads,
-                                              int rounds_per_barrier) {
-  std::unique_ptr<Bipartitioner> bisector =
-      make_algo(base, gain_engine, pass_threads, rounds_per_barrier);
+                                              GainEngine gain_engine) {
+  std::unique_ptr<Bipartitioner> bisector = make_algo(base, gain_engine);
   if (!bisector) return nullptr;
   KWayPipelineConfig config;
   config.k = k;
   config.refiner = refiner;
   config.objective = objective;
   config.prop.gain_engine = gain_engine;
-  // The native k-way polish inherits the same intra-pass parallelism as
-  // the 2-way bisections (its own deterministic round engine).
-  config.prop.pass_threads = pass_threads < 0 ? 0 : pass_threads;
-  config.prop.rounds_per_barrier =
-      rounds_per_barrier < 1 ? 1 : rounds_per_barrier;
   return std::make_unique<KWayPartitioner>(std::move(bisector), config);
 }
 

@@ -24,13 +24,9 @@ std::optional<KWayObjective> parse_kway_objective(const std::string& name);
 
 /// Builds the partitioner registered under `name` (fm, fm-tree, la2, la3,
 /// kl, prop, eig1, melo, paraboli, window); nullptr for unknown names.
-/// `gain_engine`, `pass_threads` (PropConfig::pass_threads: 0 = sequential
-/// engine, >= 1 = deterministic round engine on that many threads) and
-/// `rounds_per_barrier` (PropConfig::rounds_per_barrier, round batching of
-/// the round engine) apply to the PROP family only.
+/// `gain_engine` applies to the PROP family only.
 std::unique_ptr<Bipartitioner> make_algo(
-    const std::string& name, GainEngine gain_engine = GainEngine::kCached,
-    int pass_threads = 0, int rounds_per_barrier = 1);
+    const std::string& name, GainEngine gain_engine = GainEngine::kCached);
 
 /// Space-separated list of the registered names, for usage/error messages.
 const std::string& algo_names();
@@ -39,13 +35,10 @@ const std::string& algo_names();
 /// algorithm + the selected k-way refiner) wrapped as a Bipartitioner, so
 /// run_many / the service drive k-way jobs through the normal interface.
 /// nullptr when `base` is unknown.  k must be in [2, 256].
-/// `pass_threads` / `rounds_per_barrier` reach both the 2-way bisections
-/// and the native k-way PROP polish (KWayPropConfig mirrors PropConfig).
 std::unique_ptr<Bipartitioner> make_kway_algo(
     const std::string& base, NodeId k,
     KWayRefinerKind refiner = KWayRefinerKind::kProp,
     KWayObjective objective = KWayObjective::kConnectivity,
-    GainEngine gain_engine = GainEngine::kCached, int pass_threads = 0,
-    int rounds_per_barrier = 1);
+    GainEngine gain_engine = GainEngine::kCached);
 
 }  // namespace prop::service

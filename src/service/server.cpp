@@ -386,11 +386,8 @@ void Server::run_job(const JobSpec& spec) {
       spec.k > 2
           ? make_kway_algo(spec.algo, static_cast<NodeId>(spec.k),
                            *parse_kway_refiner(spec.kway_refiner),
-                           *parse_kway_objective(spec.kway_objective),
-                           GainEngine::kCached, spec.pass_threads,
-                           spec.rounds_per_barrier)
-          : make_algo(spec.algo, GainEngine::kCached, spec.pass_threads,
-                      spec.rounds_per_barrier);
+                           *parse_kway_objective(spec.kway_objective))
+          : make_algo(spec.algo);
   const BalanceConstraint balance = spec.balance == "50-50"
                                         ? BalanceConstraint::fifty_fifty(g)
                                         : BalanceConstraint::forty_five(g);

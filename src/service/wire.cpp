@@ -242,8 +242,7 @@ std::optional<JobSpec> job_spec_from_json(const JsonValue& v,
       "op",       "id",          "tenant",     "priority",
       "algo",     "circuit",     "hgr",        "runs",
       "seed",     "balance",     "deadline_ms", "max_retries",
-      "stats_timing", "return_partition", "pass_threads",
-      "rounds_per_barrier",
+      "stats_timing", "return_partition",
       "k",        "kway_refiner", "kway_objective"};
   for (const JsonValue::Member& m : v.members()) {
     bool known = false;
@@ -370,30 +369,6 @@ std::optional<JobSpec> job_spec_from_json(const JsonValue& v,
   } else if (!ok) {
     return std::nullopt;
   }
-  if (const JsonValue* pass_threads = expect(v, "pass_threads",
-                                             JsonValue::Type::kNumber, false,
-                                             error, &ok)) {
-    const std::int64_t t = pass_threads->as_int64();
-    if (t < 0 || t > 256) {
-      set_error(error, "field 'pass_threads' must be in [0, 256]");
-      return std::nullopt;
-    }
-    spec.pass_threads = static_cast<int>(t);
-  } else if (!ok) {
-    return std::nullopt;
-  }
-  if (const JsonValue* rpb = expect(v, "rounds_per_barrier",
-                                    JsonValue::Type::kNumber, false, error,
-                                    &ok)) {
-    const std::int64_t r = rpb->as_int64();
-    if (r < 1 || r > 1024) {
-      set_error(error, "field 'rounds_per_barrier' must be in [1, 1024]");
-      return std::nullopt;
-    }
-    spec.rounds_per_barrier = static_cast<int>(r);
-  } else if (!ok) {
-    return std::nullopt;
-  }
   if (const JsonValue* k =
           expect(v, "k", JsonValue::Type::kNumber, false, error, &ok)) {
     const std::int64_t parts = k->as_int64();
@@ -439,11 +414,6 @@ JsonValue job_spec_to_json(const JobSpec& spec) {
           JsonValue::number(static_cast<std::int64_t>(spec.max_retries)));
   out.set("stats_timing", JsonValue::boolean(spec.stats_timing));
   out.set("return_partition", JsonValue::boolean(spec.return_partition));
-  out.set("pass_threads",
-          JsonValue::number(static_cast<std::int64_t>(spec.pass_threads)));
-  out.set("rounds_per_barrier",
-          JsonValue::number(
-              static_cast<std::int64_t>(spec.rounds_per_barrier)));
   out.set("k", JsonValue::number(static_cast<std::int64_t>(spec.k)));
   out.set("kway_refiner", JsonValue::string(spec.kway_refiner));
   out.set("kway_objective", JsonValue::string(spec.kway_objective));

@@ -80,17 +80,6 @@ struct JobSpec {
   int max_retries = -1;          ///< transient-fault retries; -1 = server default
   bool stats_timing = true;      ///< timing fields inside the result stats
   bool return_partition = false; ///< include the best side vector
-  /// PROP intra-pass threads (PropConfig::pass_threads): 0 = sequential
-  /// engine, N >= 1 = deterministic round engine — part of the spec because
-  /// the two engines produce different (each deterministic) results; any
-  /// N >= 1 yields identical bytes, so results stay a function of the spec.
-  int pass_threads = 0;
-  /// Round batching of the round engine (PropConfig::rounds_per_barrier):
-  /// the worker pool is engaged only on every Nth round.  Output-neutral by
-  /// construction (byte-identical results for every value), carried in the
-  /// spec so operators can tune barrier overhead per job.  Ignored when
-  /// pass_threads = 0.
-  int rounds_per_barrier = 1;
   /// Number of parts.  2 = classic bisection through `algo` directly;
   /// 3-36 = recursive bisection with `algo` plus the k-way refiner below
   /// (36 caps what encode_side can carry per character).

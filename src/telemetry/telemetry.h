@@ -53,10 +53,6 @@ struct PassStats {
   /// within tolerance, skipping the AVL remove/reinsert (PROP only).
   std::uint64_t refresh_skips = 0;
 
-  /// Synchronous move rounds executed (PROP round engine only, DESIGN §4i;
-  /// 0 under the sequential move-by-move engine).
-  std::uint64_t rounds = 0;
-
   // Invariant-audit observations (zero unless auditing was enabled).
   std::uint64_t audits = 0;        ///< audit sweeps performed this pass
   std::uint64_t resyncs = 0;       ///< node gains resynced from scratch

@@ -24,25 +24,6 @@ int ThreadPool::hardware_threads() noexcept {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-std::vector<IndexRange> split_index_range(std::size_t n, int parts) {
-  std::vector<IndexRange> ranges;
-  if (n == 0) return ranges;
-  const std::size_t p =
-      parts < 1 ? 1 : (static_cast<std::size_t>(parts) > n
-                           ? n
-                           : static_cast<std::size_t>(parts));
-  ranges.reserve(p);
-  const std::size_t base = n / p;
-  const std::size_t extra = n % p;
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i < p; ++i) {
-    const std::size_t len = base + (i < extra ? 1 : 0);
-    ranges.push_back(IndexRange{begin, begin + len});
-    begin += len;
-  }
-  return ranges;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -1,5 +1,4 @@
-// Fixed-size worker pool for the deterministic parallel multi-start runner
-// and the intra-pass round engine (parallel_for below).
+// Fixed-size worker pool for the deterministic parallel multi-start runner.
 //
 // Deliberately minimal: a bounded set of workers started in the
 // constructor, a FIFO task queue, and exception-capturing futures.  The
@@ -15,7 +14,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -72,62 +70,5 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   bool stopping_ = false;
 };
-
-/// One contiguous [begin, end) chunk of an index range handed to a single
-/// parallel_for task.
-struct IndexRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Deterministic split of [0, n) into at most `parts` near-equal contiguous
-/// ranges (the first n % parts ranges are one element longer; empty ranges
-/// are dropped).  The boundaries depend only on (n, parts) — never on
-/// scheduling — which is what lets parallel_for promise byte-identical
-/// results for any worker count.
-std::vector<IndexRange> split_index_range(std::size_t n, int parts);
-
-/// Runs fn(begin, end) over a deterministic partition of [0, n).
-///
-/// When `pool` is null the whole range runs inline as fn(0, n) — the serial
-/// reference execution.  Otherwise the range is split into pool->size() + 1
-/// chunks; the caller runs the first chunk itself while the pool runs the
-/// rest, then everything joins before returning (exceptions from chunks are
-/// rethrown, lowest chunk first).
-///
-/// Determinism contract: `fn` must compute each slot purely from state that
-/// is read-only for the duration of the call and write only to slots inside
-/// its own [begin, end).  Under that contract the combined output is
-/// byte-identical to the serial reference execution for every worker count,
-/// because no value ever depends on which chunk (or thread) produced it.
-template <typename Fn>
-void parallel_for(ThreadPool* pool, std::size_t n, Fn&& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || n == 1) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  const std::vector<IndexRange> ranges = split_index_range(n, pool->size() + 1);
-  std::vector<std::future<void>> pending;
-  pending.reserve(ranges.size() - 1);
-  for (std::size_t i = 1; i < ranges.size(); ++i) {
-    const IndexRange r = ranges[i];
-    pending.push_back(pool->submit([&fn, r] { fn(r.begin, r.end); }));
-  }
-  std::exception_ptr first_error;
-  try {
-    fn(ranges[0].begin, ranges[0].end);
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  for (std::future<void>& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
 
 }  // namespace prop

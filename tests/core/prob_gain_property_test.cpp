@@ -167,170 +167,6 @@ TEST(ProbGainProperty, RenormalizationIsBitExactAfterTinyProbabilityBursts) {
   }
 }
 
-TEST(ProbGainProperty, DirtySweepsReproduceFullSweepsBitwise) {
-  // The §4k active-set contract: with tracking on, a gains array that is
-  // re-swept only over the pins of dirty nets after each mutation batch —
-  // and fully re-swept after a full-state invalidation (reset,
-  // renormalize_all) — stays BITWISE equal to a fresh gain(u) recompute at
-  // every checkpoint.  The mutation alphabet is the full pass vocabulary:
-  // probability updates, rejected-candidate locks, accepted locked moves,
-  // epoch renormalizations and pass-boundary resets, at a tiny renorm
-  // interval so renormalize_all fires often.
-  for (const std::uint64_t seed : {13ULL, 29ULL}) {
-    const Hypergraph g = property_circuit(seed);
-    const BalanceConstraint balance = BalanceConstraint::forty_five(g);
-    Rng rng(mix_seed(seed, 91));
-    Partition part(g, random_balanced_sides(g, balance, rng));
-    ProbGainCalculator calc(part, GainEngine::kCached, 5);
-    calc.set_dirty_tracking(true);
-    const NodeId n = g.num_nodes();
-
-    std::vector<double> gains(n, 0.0);
-    const auto resweep = [&] {
-      if (calc.all_dirty()) {
-        for (NodeId u = 0; u < n; ++u) gains[u] = calc.gain(u);
-      } else {
-        for (const NetId net : calc.dirty_nets()) {
-          for (const NodeId v : g.pins_of(net)) gains[v] = calc.gain(v);
-        }
-      }
-      calc.clear_dirty();
-    };
-    const auto reinit = [&] {
-      calc.reset();
-      for (NodeId u = 0; u < n; ++u) {
-        calc.set_probability(u, random_probability(rng));
-      }
-      resweep();
-    };
-    reinit();
-
-    int free_count = static_cast<int>(n);
-    for (int op = 0; op < 2500; ++op) {
-      if (free_count < static_cast<int>(n) / 5) {
-        reinit();
-        free_count = static_cast<int>(n);
-      }
-      const NodeId u = static_cast<NodeId>(rng.bounded(n));
-      const auto r = rng.bounded(100);
-      if (r < 60) {
-        if (calc.is_free(u)) calc.set_probability(u, random_probability(rng));
-      } else if (r < 80) {
-        if (calc.is_free(u)) {
-          const int from = part.side(u);
-          calc.lock(u);
-          part.move(u);
-          calc.move_locked(u, from);
-          --free_count;
-        }
-      } else if (r < 95) {
-        if (calc.is_free(u)) {
-          calc.lock(u);
-          --free_count;
-        }
-      } else {
-        calc.renormalize_all();  // must raise all_dirty()
-        EXPECT_TRUE(calc.all_dirty()) << "op " << op;
-      }
-
-      if ((op + 1) % 64 == 0) resweep();
-      if ((op + 1) % 256 == 0) {
-        // The checkpoint IS the property: not a single stale entry.
-        for (NodeId v = 0; v < n; ++v) {
-          ASSERT_EQ(gains[v], calc.gain(v))
-              << "seed " << seed << " op " << op << " node " << v;
-        }
-      }
-    }
-  }
-}
-
-TEST(ProbGainProperty, StagedBatchesFoldIntoDirtySetExactly) {
-  // The round engine's dirty-restricted rebuild (stage_probability over
-  // node chunks, note_staged_changes fold, rebuild_products_for over the
-  // dirty nets ONLY) must leave every gain bitwise equal to a twin
-  // calculator that stages the same batch but rebuilds ALL nets — i.e. the
-  // dirty set provably covers every net whose stored product the batch
-  // could have changed, and skipping the clean nets loses nothing.
-  const Hypergraph g = property_circuit(17);
-  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
-  Rng rng(mix_seed(17, 55));
-  Partition part(g, random_balanced_sides(g, balance, rng));
-  Partition twin_part(g, part.sides());
-  ProbGainCalculator restricted(part, GainEngine::kCached);
-  ProbGainCalculator full(twin_part, GainEngine::kCached);
-  restricted.set_dirty_tracking(true);
-  const NodeId n = g.num_nodes();
-  const NetId m = g.num_nets();
-  restricted.reset();
-  full.reset();
-  for (NodeId u = 0; u < n; ++u) {
-    const double p = random_probability(rng);
-    restricted.stage_probability(u, p);
-    full.stage_probability(u, p);
-  }
-  restricted.note_staged_changes_all();
-  restricted.rebuild_products(0, m);
-  restricted.clear_dirty();
-  full.rebuild_products(0, m);
-
-  std::vector<NodeId> batch;
-  for (int round = 0; round < 40; ++round) {
-    batch.clear();
-    const int batch_size = 1 + static_cast<int>(rng.bounded(24));
-    for (int i = 0; i < batch_size; ++i) {
-      const NodeId u = static_cast<NodeId>(rng.bounded(n));
-      const double p = random_probability(rng);
-      restricted.stage_probability(u, p);
-      full.stage_probability(u, p);
-      batch.push_back(u);
-    }
-    restricted.note_staged_changes(batch.data(), batch.size());
-    const auto& dirty = restricted.dirty_nets();
-    restricted.rebuild_products_for(dirty.data(), 0, dirty.size());
-    restricted.clear_dirty();
-    full.rebuild_products(0, m);
-    for (NodeId u = 0; u < n; ++u) {
-      ASSERT_EQ(restricted.gain(u), full.gain(u))
-          << "round " << round << " node " << u;
-    }
-    EXPECT_NO_THROW(restricted.audit_consistency()) << "round " << round;
-  }
-}
-
-TEST(ProbGainProperty, InjectedDriftResyncsPreserveActiveSetIdentity) {
-  // Fault injection meets the §4k identity contract: a prop-drift injector
-  // forces emergency renormalize_all resyncs mid-pass, each of which must
-  // raise all_dirty() and route the next round through a full sweep.  The
-  // active-set and full-sweep-rounds schedules see the same resync points
-  // (the schedule is identical by the identity contract), so the two runs
-  // must still produce byte-identical partitions under injection.
-  const Hypergraph g = property_circuit(21);
-  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
-  PartitionResult by_mode[2];
-  for (const bool full_sweep : {false, true}) {
-    PropConfig config;
-    config.pass_threads = 2;
-    config.full_sweep_rounds = full_sweep;
-    config.audit_interval = 16;
-    config.max_emergency_resyncs = 2;
-    PropPartitioner algo(config);
-    FaultInjector injector("prop-drift~0.02", 99);
-    DegradationLog log;
-    RunContext context;
-    context.injector = &injector;
-    context.degradations = &log;
-    const RunOutcome outcome = run_checked(algo, g, balance, 17, &context);
-    ASSERT_TRUE(outcome.has_result()) << "full_sweep=" << full_sweep;
-    const ValidationReport report =
-        validate_result(g, balance, outcome.result);
-    EXPECT_TRUE(report.ok) << report.message;
-    by_mode[full_sweep ? 1 : 0] = outcome.result;
-  }
-  EXPECT_EQ(by_mode[0].side, by_mode[1].side);
-  EXPECT_EQ(by_mode[0].cut_cost, by_mode[1].cut_cost);
-}
-
 TEST(ProbGainProperty, InjectedDriftResyncsKeepPassConsistent) {
   // The prop-drift fault site forces emergency resyncs mid-pass; with the
   // auditor armed at a tight cadence, any cache corruption those resyncs

@@ -1,0 +1,115 @@
+// Cross-commit golden outputs: FNV-1a digests of the returned sides and of
+// the timing-free stats-json bytes for a fixed set of PROP runs.  Every
+// other determinism test compares two runs of the same build; this one pins
+// the bytes themselves, so a refactor that claims "same partitions, same
+// stats" is checked against values recorded before the refactor.  A change
+// that legitimately moves a trajectory must re-record the digests below and
+// say so.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <sstream>
+#include <string>
+
+#include "core/prop_partitioner.h"
+#include "hypergraph/generator.h"
+#include "hypergraph/mcnc_suite.h"
+#include "multilevel/multilevel_driver.h"
+#include "multilevel/multilevel_kway.h"
+#include "partition/runner.h"
+#include "service/algo_factory.h"
+
+namespace prop {
+namespace {
+
+std::uint64_t fnv1a(const void* data, std::size_t size) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+struct Golden {
+  std::uint64_t sides;
+  std::uint64_t stats;
+};
+
+/// One run_many call at 45-55 with telemetry; digests the best sides and
+/// the timing-free stats-json.
+void expect_golden(Bipartitioner& algo, const Hypergraph& g,
+                   std::uint64_t seed, const Golden& want) {
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  RunnerOptions options;
+  options.collect_telemetry = true;
+  const MultiRunResult result = run_many(algo, g, balance, 1, seed, options);
+  std::ostringstream out;
+  StatsJsonOptions json;
+  json.include_timing = false;
+  write_stats_json(out, g.name(), algo.name(), result, json);
+  const std::string stats = out.str();
+  const std::vector<std::uint8_t>& side = result.best.side;
+  const std::uint64_t sides = fnv1a(side.data(), side.size());
+  EXPECT_EQ(hex(sides), hex(want.sides))
+      << g.name() << " " << algo.name() << " seed " << seed << " cut "
+      << result.best.cut_cost;
+  EXPECT_EQ(hex(fnv1a(stats.data(), stats.size())), hex(want.stats))
+      << g.name() << " " << algo.name() << " seed " << seed;
+}
+
+TEST(GoldenOutput, FlatPropFortyFive) {
+  struct Case {
+    const char* circuit;
+    std::uint64_t seed;
+    Golden want;
+  };
+  const Case cases[] = {
+      {"balu", 1, {0xf01ec66084403eacULL, 0xe55eea983ba6d1c4ULL}},
+      {"balu", 2, {0x150eabcfea90b8d4ULL, 0xc6f3621b97af527bULL}},
+      {"balu", 3, {0x62607cd36d93e065ULL, 0x525097de670710eaULL}},
+      {"p2", 1, {0x772b54c2849d96aeULL, 0x5c855bad87718973ULL}},
+      {"p2", 2, {0x3ffd715c23b33e27ULL, 0x9c27fdb58b3c4f28ULL}},
+      {"p2", 3, {0x4e0854bc88682c6fULL, 0xe6eb287c3848953cULL}},
+  };
+  PropPartitioner algo;
+  for (const Case& c : cases) {
+    const Hypergraph g = make_mcnc_circuit(c.circuit);
+    expect_golden(algo, g, c.seed, c.want);
+  }
+}
+
+TEST(GoldenOutput, MultilevelPropSynthetic) {
+  const Hypergraph g =
+      generate_circuit(scaled_spec("synth10000", 10000), kSuiteSeed);
+  MultilevelPartitioner algo{MultilevelConfig{}};
+  expect_golden(algo, g, 1, {0x41980cdeaff404dfULL, 0x63eab9fc649ade7eULL});
+}
+
+TEST(GoldenOutput, FlatKWayPipelineK4) {
+  const Hypergraph g = make_mcnc_circuit("p1");
+  const auto algo = service::make_kway_algo("prop", 4);
+  ASSERT_NE(algo, nullptr);
+  expect_golden(*algo, g, 1, {0x9b028e056a7b520dULL, 0xdc971b2d129371aeULL});
+}
+
+TEST(GoldenOutput, MultilevelKWayPropK8) {
+  const Hypergraph g = make_mcnc_circuit("p1");
+  MultilevelKWayConfig config;
+  config.k = 8;
+  MultilevelKWayPartitioner algo(config);
+  expect_golden(algo, g, 1, {0x9865f6c3454eaff7ULL, 0xbf53deb65553290bULL});
+}
+
+}  // namespace
+}  // namespace prop

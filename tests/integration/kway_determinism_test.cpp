@@ -1,8 +1,7 @@
 // K-way determinism guarantees (satellite of DESIGN.md §4j): the k-way
 // pipeline inside run_many produces byte-identical part vectors and
-// stats-json for ANY --threads value, for any --pass-threads >= 1 of the
-// PROP bisector's round engine, and the multilevel k-way driver does the
-// same — so EXPERIMENTS.md k-way sweeps are regenerable bit-for-bit no
+// stats-json for ANY --threads value, and the multilevel k-way driver does
+// the same — so EXPERIMENTS.md k-way sweeps are regenerable bit-for-bit no
 // matter what parallelism they ran with.
 #include <gtest/gtest.h>
 
@@ -19,14 +18,11 @@
 namespace prop {
 namespace {
 
-std::unique_ptr<KWayPartitioner> make_pipeline(NodeId k,
-                                               int pass_threads = 0) {
-  PropConfig prop;
-  prop.pass_threads = pass_threads;
+std::unique_ptr<KWayPartitioner> make_pipeline(NodeId k) {
   KWayPipelineConfig config;
   config.k = k;
   return std::make_unique<KWayPartitioner>(
-      std::make_unique<PropPartitioner>(prop), config);
+      std::make_unique<PropPartitioner>(), config);
 }
 
 /// run_many + stats-json with timing excluded — the byte-identity surface.
@@ -62,22 +58,6 @@ TEST(KWayDeterminism, RunManyByteIdenticalAcrossThreadCounts) {
         << threads << " threads";
     EXPECT_EQ(parallel.result.cuts, sequential.result.cuts);
     EXPECT_EQ(parallel.stats, sequential.stats) << threads << " threads";
-  }
-}
-
-TEST(KWayDeterminism, RoundEnginePassThreadsByteIdentical) {
-  // The PROP bisector's deterministic round engine guarantees identical
-  // bytes for every pass_threads >= 1; that survives recursive bisection
-  // plus both k-way refiners on top.
-  const Hypergraph g = testing::small_random_circuit(607);
-  const auto one = make_pipeline(4, 1);
-  const Capture base = run_capture(*one, g, 4, 23, 0);
-  for (const int pass_threads : {2, 4}) {
-    const auto algo = make_pipeline(4, pass_threads);
-    const Capture c = run_capture(*algo, g, 4, 23, 0);
-    EXPECT_EQ(c.result.best.side, base.result.best.side)
-        << pass_threads << " pass threads";
-    EXPECT_EQ(c.stats, base.stats);
   }
 }
 

@@ -171,8 +171,6 @@ TEST(WireRoundTrip, JobSpec) {
   spec.max_retries = 1;
   spec.stats_timing = false;
   spec.return_partition = true;
-  spec.pass_threads = 4;
-  spec.rounds_per_barrier = 16;
   spec.k = 8;
   spec.kway_refiner = "greedy";
   spec.kway_objective = "cut";
@@ -195,8 +193,6 @@ TEST(WireRoundTrip, JobSpec) {
   EXPECT_EQ(decoded->max_retries, spec.max_retries);
   EXPECT_FALSE(decoded->stats_timing);
   EXPECT_TRUE(decoded->return_partition);
-  EXPECT_EQ(decoded->pass_threads, 4);
-  EXPECT_EQ(decoded->rounds_per_barrier, 16);
   EXPECT_EQ(decoded->k, 8);
   EXPECT_EQ(decoded->kway_refiner, "greedy");
   EXPECT_EQ(decoded->kway_objective, "cut");
@@ -219,10 +215,9 @@ TEST(WireRoundTrip, JobSpecRejectsBadInput) {
       {"{\"id\":\"a\",\"tenant\":\"\"}", "tenant"},
       {"{\"id\":\"a\",\"k\":1}", "k"},                       // below 2-way
       {"{\"id\":\"a\",\"k\":37}", "k"},                      // > base-36 cap
-      {"{\"id\":\"a\",\"pass_threads\":-1}", "pass_threads"},
-      {"{\"id\":\"a\",\"pass_threads\":257}", "pass_threads"},
-      {"{\"id\":\"a\",\"rounds_per_barrier\":0}", "rounds_per_barrier"},
-      {"{\"id\":\"a\",\"rounds_per_barrier\":1025}", "rounds_per_barrier"},
+      // Retired intra-pass thread knobs: rejected, never silently ignored.
+      {"{\"id\":\"a\",\"pass_threads\":1}", "pass_threads"},
+      {"{\"id\":\"a\",\"rounds_per_barrier\":2}", "rounds_per_barrier"},
       {"{\"id\":\"a\",\"kway_refiner\":7}", "kway_refiner"}, // wrong type
       {"[]", "object"},
   };
@@ -252,8 +247,6 @@ TEST(WireRoundTrip, JobSpecDefaults) {
   EXPECT_EQ(spec->max_retries, -1);
   EXPECT_TRUE(spec->stats_timing);
   EXPECT_FALSE(spec->return_partition);
-  EXPECT_EQ(spec->pass_threads, 0);
-  EXPECT_EQ(spec->rounds_per_barrier, 1);
   EXPECT_EQ(spec->k, 2);
   EXPECT_EQ(spec->kway_refiner, "prop");
   EXPECT_EQ(spec->kway_objective, "connectivity");

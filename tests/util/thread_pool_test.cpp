@@ -72,69 +72,5 @@ TEST(ThreadPool, ManyMoreTasksThanWorkers) {
   EXPECT_EQ(sum.load(), 500LL * 501 / 2);
 }
 
-TEST(SplitIndexRange, CoversEveryIndexOnceInOrder) {
-  for (const std::size_t n : {0u, 1u, 2u, 7u, 8u, 9u, 100u}) {
-    for (const int parts : {1, 2, 3, 4, 16}) {
-      const auto ranges = split_index_range(n, parts);
-      std::size_t next = 0;
-      for (const IndexRange& r : ranges) {
-        EXPECT_EQ(r.begin, next);
-        EXPECT_LT(r.begin, r.end);  // no empty chunks emitted
-        next = r.end;
-      }
-      EXPECT_EQ(next, n) << "n=" << n << " parts=" << parts;
-      EXPECT_LE(ranges.size(), static_cast<std::size_t>(parts));
-    }
-  }
-}
-
-TEST(SplitIndexRange, ChunkingDependsOnlyOnInputs) {
-  // The round engine's determinism rests on this: same (n, parts) -> same
-  // chunk boundaries, every time.
-  EXPECT_EQ(split_index_range(10, 3).size(), 3u);
-  const auto a = split_index_range(1000, 7);
-  const auto b = split_index_range(1000, 7);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].begin, b[i].begin);
-    EXPECT_EQ(a[i].end, b[i].end);
-  }
-}
-
-TEST(ParallelFor, MatchesSerialOverDisjointSlots) {
-  const std::size_t n = 10000;
-  std::vector<int> serial(n, 0);
-  parallel_for(nullptr, n, [&serial](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      serial[i] = static_cast<int>(i * 3 + 1);
-    }
-  });
-  ThreadPool pool(3);
-  std::vector<int> threaded(n, 0);
-  parallel_for(&pool, n, [&threaded](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      threaded[i] = static_cast<int>(i * 3 + 1);
-    }
-  });
-  EXPECT_EQ(threaded, serial);
-}
-
-TEST(ParallelFor, EmptyRangeRunsNothing) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  parallel_for(&pool, 0, [&calls](std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ParallelFor, PropagatesChunkExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      parallel_for(&pool, 100,
-                   [](std::size_t begin, std::size_t) {
-                     if (begin == 0) throw std::runtime_error("chunk 0");
-                   }),
-      std::runtime_error);
-}
-
 }  // namespace
 }  // namespace prop

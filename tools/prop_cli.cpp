@@ -39,8 +39,7 @@ constexpr const char* kUsage =
     "          [--runs N] [--balance 50-50|45-55] [--k K]\n"
     "          [--kway-refiner=prop|greedy|none]\n"
     "          [--kway-objective=cut|connectivity]\n"
-    "          [--gain-engine=cached|scratch|shadow] [--pass-threads N]\n"
-    "          [--rounds-per-barrier N]\n"
+    "          [--gain-engine=cached|scratch|shadow]\n"
     "          [--multilevel] [--ml-refiner=prop|fm] [--coarsest-max-nodes N]\n"
     "          [--seed N] [--threads N] [--out FILE]\n"
     "          [--stats-json FILE] [--stats-timing=0|1] [--list]\n"
@@ -61,8 +60,7 @@ int main(int argc, char** argv) {
                          {"hgr", "circuit", "algo", "runs", "balance", "k",
                           "kway-refiner", "kway-objective", "seed", "out",
                           "stats-json", "stats-timing", "list", "threads",
-                          "gain-engine", "pass-threads", "rounds-per-barrier",
-                          "multilevel",
+                          "gain-engine", "multilevel",
                           "ml-refiner", "coarsest-max-nodes", "synth-nodes"},
                          kUsage)) {
     return 2;
@@ -108,21 +106,6 @@ int main(int argc, char** argv) {
   if (!gain_engine) {
     std::fprintf(stderr, "unknown gain engine '%s' (cached|scratch|shadow)\n",
                  engine_name.c_str());
-    return usage(argv[0]);
-  }
-  // PROP intra-pass parallelism: 0 (default) = sequential move-by-move
-  // engine, N >= 1 = deterministic round engine on N threads — byte-identical
-  // output for every N >= 1 (DESIGN.md §4i).
-  const long long pass_threads = args.get_int_or("pass-threads", 0);
-  if (pass_threads < 0 || pass_threads > 256) {
-    std::fprintf(stderr, "error: --pass-threads must be in [0, 256]\n");
-    return usage(argv[0]);
-  }
-  // Round batching of the round engine: the pool is engaged only on every
-  // Nth round (output byte-identical for every N; DESIGN.md §4k).
-  const long long rounds_per_barrier = args.get_int_or("rounds-per-barrier", 1);
-  if (rounds_per_barrier < 1 || rounds_per_barrier > 1024) {
-    std::fprintf(stderr, "error: --rounds-per-barrier must be in [1, 1024]\n");
     return usage(argv[0]);
   }
   const long long k_arg = args.get_int_or("k", 2);
@@ -175,8 +158,6 @@ int main(int argc, char** argv) {
       config.objective = *kway_objective;
       config.refiner = *kway_refiner;
       config.prop.gain_engine = *gain_engine;
-      config.prop.pass_threads = static_cast<int>(pass_threads);
-      config.prop.rounds_per_barrier = static_cast<int>(rounds_per_barrier);
       config.coarsest_max_nodes = static_cast<prop::NodeId>(coarsest);
       algo = std::make_unique<prop::MultilevelKWayPartitioner>(config);
     } else {
@@ -192,21 +173,14 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
       config.prop.gain_engine = *gain_engine;
-      config.prop.pass_threads = static_cast<int>(pass_threads);
-      config.prop.rounds_per_barrier = static_cast<int>(rounds_per_barrier);
       config.coarsest_max_nodes = static_cast<prop::NodeId>(coarsest);
       algo = std::make_unique<prop::MultilevelPartitioner>(config);
     }
   } else {
     const std::string algo_name = args.get_or("algo", "prop");
-    algo = k > 2 ? prop::service::make_kway_algo(
-                       algo_name, k, *kway_refiner, *kway_objective,
-                       *gain_engine, static_cast<int>(pass_threads),
-                       static_cast<int>(rounds_per_barrier))
-                 : prop::service::make_algo(
-                       algo_name, *gain_engine,
-                       static_cast<int>(pass_threads),
-                       static_cast<int>(rounds_per_barrier));
+    algo = k > 2 ? prop::service::make_kway_algo(algo_name, k, *kway_refiner,
+                                                 *kway_objective, *gain_engine)
+                 : prop::service::make_algo(algo_name, *gain_engine);
     if (!algo) {
       std::fprintf(stderr, "unknown algorithm '%s'\n", algo_name.c_str());
       return usage(argv[0]);
