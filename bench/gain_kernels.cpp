@@ -139,10 +139,10 @@ struct Timed {
 // rounds, exactly the sweep structure PropRefiner::bootstrap_probabilities
 // uses per engine: net-major accumulation for cached, node-major gain(u)
 // for scratch.
-Timed run_bootstrap(const prop::Hypergraph& g, const prop::Partition& part,
+Timed run_bootstrap(const prop::Hypergraph& g, const prop::KWayState& state,
                     GainEngine engine, int reps, const char* circuit) {
   const prop::ProbabilityModel model;
-  prop::ProbGainCalculator calc(part, engine);
+  prop::ProbGainCalculator calc(state, engine);
   const auto n = static_cast<NodeId>(g.num_nodes());
   const auto m = static_cast<NetId>(g.num_nets());
   std::vector<double> gains(n, 0.0);
@@ -154,11 +154,13 @@ Timed run_bootstrap(const prop::Hypergraph& g, const prop::Partition& part,
       if (engine == GainEngine::kCached) {
         std::fill(gains.begin(), gains.end(), 0.0);
         for (NetId net = 0; net < m; ++net) {
-          calc.for_each_net_gain(net,
-                                 [&](NodeId v, double gn) { gains[v] += gn; });
+          calc.for_each_net_gain(
+              net, [&](NodeId v, NodeId, double gn) { gains[v] += gn; });
         }
       } else {
-        for (NodeId u = 0; u < n; ++u) gains[u] = calc.gain(u);
+        for (NodeId u = 0; u < n; ++u) {
+          gains[u] = calc.gain(u, 1 - state.part(u));
+        }
       }
       for (NodeId u = 0; u < n; ++u) {
         calc.set_probability(u, model.from_gain(gains[u]));
@@ -181,10 +183,10 @@ Timed run_bootstrap(const prop::Hypergraph& g, const prop::Partition& part,
 // Mixed state: randomized probabilities (seed stream 11), ~10% of nodes
 // locked (stream 13, every other locked node also moved sides), then
 // `queries` random gain(u) reads over the free nodes (stream 17).
-Timed run_gain_query(const prop::Hypergraph& g, prop::Partition& part,
+Timed run_gain_query(const prop::Hypergraph& g, prop::KWayState& state,
                      GainEngine engine, std::uint64_t queries,
                      std::uint64_t seed, const char* circuit) {
-  prop::ProbGainCalculator calc(part, engine);
+  prop::ProbGainCalculator calc(state, engine);
   calc.reset();
   const auto n = static_cast<NodeId>(g.num_nodes());
 
@@ -198,10 +200,10 @@ Timed run_gain_query(const prop::Hypergraph& g, prop::Partition& part,
   free_nodes.reserve(n);
   for (NodeId u = 0; u < n; ++u) {
     if (lrng.chance(0.1)) {
-      const int from = part.side(u);
+      const NodeId from = state.part(u);
       calc.lock(u);
       if (move_this) {
-        part.move(u);
+        state.move(u, 1 - from);
         calc.move_locked(u, from);
       }
       move_this = !move_this;
@@ -212,15 +214,18 @@ Timed run_gain_query(const prop::Hypergraph& g, prop::Partition& part,
 
   prop::Rng qrng(prop::mix_seed(seed, 17));
   const auto pool = static_cast<std::int64_t>(free_nodes.size());
+  const auto query = [&] {
+    const auto i = static_cast<std::size_t>(qrng.range(0, pool - 1));
+    const NodeId u = free_nodes[i];
+    return calc.gain(u, 1 - state.part(u));
+  };
   double acc = 0.0;
-  for (int w = 0; w < 1000; ++w) {  // warmup
-    acc += calc.gain(free_nodes[static_cast<std::size_t>(qrng.range(0, pool - 1))]);
-  }
+  for (int w = 0; w < 1000; ++w) acc += query();  // warmup
   const std::uint64_t allocs_before = g_allocations.load();
   prop::WallTimer wall;
   prop::ThreadCpuTimer cpu;
   for (std::uint64_t q = 0; q < queries; ++q) {
-    acc += calc.gain(free_nodes[static_cast<std::size_t>(qrng.range(0, pool - 1))]);
+    acc += query();
   }
   const Timed t{wall.seconds(), cpu.seconds()};
   assert_no_allocs("gain-query", circuit, g_allocations.load() - allocs_before);
@@ -376,12 +381,12 @@ int main(int argc, char** argv) {
         const GainEngine engine = engines[e];
         const auto measure = [&]() -> Timed {
           if (std::strcmp(k.kernel, "bootstrap") == 0) {
-            prop::Partition part(g, sides);
-            return run_bootstrap(g, part, engine, reps, name.c_str());
+            const prop::KWayState state{prop::Partition(g, sides)};
+            return run_bootstrap(g, state, engine, reps, name.c_str());
           }
           if (std::strcmp(k.kernel, "gain-query") == 0) {
-            prop::Partition part(g, sides);
-            return run_gain_query(g, part, engine, queries, seed,
+            prop::KWayState state{prop::Partition(g, sides)};
+            return run_gain_query(g, state, engine, queries, seed,
                                   name.c_str());
           }
           if (std::strcmp(k.kernel, "move-update") == 0) {

@@ -35,7 +35,7 @@
 #include "bench_common.h"
 #include "hypergraph/generator.h"
 #include "hypergraph/mcnc_suite.h"
-#include "kway/kway_state.h"
+#include "partition/kway_state.h"
 #include "partition/runner.h"
 #include "service/algo_factory.h"
 #include "util/cli.h"

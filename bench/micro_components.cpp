@@ -73,13 +73,13 @@ BENCHMARK(BM_FmGainRecompute);
 
 void BM_ProbGainRecompute(benchmark::State& state) {
   const prop::Hypergraph g = bench_circuit();
-  const prop::Partition part = bench_partition(g);
-  prop::ProbGainCalculator calc(part);
+  const prop::KWayState halves(bench_partition(g));
+  prop::ProbGainCalculator calc(halves);
   for (prop::NodeId u = 0; u < g.num_nodes(); ++u) calc.set_probability(u, 0.9);
   prop::Rng rng(4);
   for (auto _ : state) {
     const auto u = static_cast<prop::NodeId>(rng.bounded(g.num_nodes()));
-    benchmark::DoNotOptimize(calc.gain(u));
+    benchmark::DoNotOptimize(calc.gain(u, 1 - halves.part(u)));
   }
 }
 BENCHMARK(BM_ProbGainRecompute);

@@ -20,18 +20,22 @@ int main() {
               ex.graph.num_nodes(), ex.graph.num_nets(), part.cut_cost());
 
   prop::LaGainCalculator la(part, 3);
-  prop::ProbGainCalculator calc(part);
+  const prop::KWayState state(part);
+  prop::ProbGainCalculator calc(state);
   for (prop::NodeId u = 0; u < ex.graph.num_nodes(); ++u) {
     calc.set_probability(u, ex.initial_probability[u]);
   }
+  const auto prob_gain = [&](prop::NodeId u) {
+    return calc.gain(u, 1 - state.part(u));
+  };
 
   std::printf("%-6s %8s %10s %14s %8s\n", "node", "FM gain", "LA-3 gain",
               "PROP gain", "p(u)");
   int best_prop = 1;
   for (int k = 1; k <= 11; ++k) {
     const prop::NodeId u = ex.node(k);
-    const double g = calc.gain(u);
-    if (g > calc.gain(ex.node(best_prop))) best_prop = k;
+    const double g = prob_gain(u);
+    if (g > prob_gain(ex.node(best_prop))) best_prop = k;
     std::printf("%-6d %8.0f %10s %14.4f %8.2f\n", k, prop::fm_gain(part, u),
                 la.gain(u).to_string().c_str(), g, ex.initial_probability[u]);
   }

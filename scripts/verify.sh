@@ -57,6 +57,14 @@ echo "== fault-injection suite (asan+ubsan) =="
 ctest --preset asan-ubsan -j "$jobs" \
   -R 'RuntimeRobustness|FaultInjector|Deadline|CancelToken|Status'
 
+# Shadow-engine smoke: every gain query cross-checks the cached products
+# against the scratch answer, and the pass runs the scratch/shadow
+# emission path of ProbGainCalculator::for_each_net_gain (one pin pass
+# per net into per-part scratch, every (pin, target) pair emitted).
+echo "== gain-engine shadow smoke (asan+ubsan) =="
+./build-asan/tools/prop_cli --circuit t4 --algo prop --gain-engine=shadow \
+  --runs 1 > /dev/null
+
 echo "== budgeted-run smoke (asan+ubsan) =="
 ./build-asan/tools/prop_cli --circuit t4 --algo prop --runs 3 \
   --time-budget-ms 1 --on-timeout=best > /dev/null

@@ -1,33 +1,35 @@
-// Probabilistic node-gain computation — the heart of PROP (paper Sec. 3.1).
+// Probabilistic node-gain computation — the heart of PROP (paper Sec. 3.1),
+// for any number of parts k.  At k = 2 it is exactly the paper's engine;
+// k > 2 is the Sec. 5 k-way direction (DESIGN.md §4f).
 //
 // Every free node u carries a probability p(u) of being actually moved in
-// the current pass.  The gain contributed to u by net n (u on side A, other
-// side B) is:
+// the current pass.  The gain contributed by net n to moving u (in part a)
+// toward part b is:
 //
-//   net in cut (pins on both sides), Eqn. 3:
-//     g_n(u) = c(n) * [ prod_{x in free(n^A) - u} p(x)
-//                       - prod_{y in free(n^B)} p(y) ]
-//   net entirely in A, Eqn. 4:
-//     g_n(u) = -c(n) * (1 - prod_{x in free(n^A) - u} p(x))
+//   net already touches b  (k = 2: "net in cut", Eqn. 3):
+//     g_n(u -> b) = c(n) * [ prod_{x in free(n^a) - u} p(x)
+//                            - prod_{y in free(n^b)} p(y) ]
+//   net has no pin in b    (k = 2: "net entirely in a", Eqn. 4):
+//     g_n(u -> b) = -c(n) * (1 - prod_{x in free(n^a) - u} p(x))
 //
 // with the locked-net rules of Sec. 3.4 (Eqns. 5/6) falling out naturally:
-// a locked pin on a side zeroes that side's removal product, because a net
-// with a locked pin in S can never be pulled out of S during this pass.
-// Empty products are 1, so a cut net where u is the only A-side pin
+// a locked pin in a part zeroes that part's removal product, because a net
+// with a locked pin in p can never be pulled out of p during this pass.
+// Empty products are 1, so a cut net where u is the only a-side pin
 // contributes the full +c(n), and a single-pin net contributes 0.
 //
-// Three engines compute those products (DESIGN.md Sec. 4f):
+// Three engines compute those products:
 //
-//   * kCached (default): maintains prod[2n+s] = product of p(v) over free
-//     pins of net n on side s with p(v) != 0, plus a zero-factor counter
+//   * kCached (default): maintains prod[n*k+p] = product of p(v) over free
+//     pins of net n in part p with p(v) != 0, plus a zero-factor counter
 //     and a cached reciprocal 1/p(v) per node, updated in O(1) per
 //     set_probability / lock by multiplication (no divisions on the hot
-//     path).  gain(u) is then O(degree(u)) and for_each_net_gain is O(|n|)
-//     with no per-call product pass; nets with a locked pin on *both*
-//     sides contribute exactly zero to every free pin and are skipped
-//     outright.  Floating-point drift from the incremental updates is
-//     bounded by epoch renormalization: after kRenormInterval updates of a
-//     (net, side) slot — or whenever its product leaves
+//     path).  gain(u, to) is then O(degree(u)) and for_each_net_gain is
+//     O(|n| * (k - 1)) with no per-call product pass; (v, to) pairs whose
+//     source and target part both hold a locked pin contribute exactly
+//     zero and are skipped.  Floating-point drift from the incremental
+//     updates is bounded by epoch renormalization: after kRenormInterval
+//     updates of a (net, part) slot — or whenever its product leaves
 //     [kRenormMagLo, kRenormMagHi] or stops being finite — the product is
 //     recomputed exactly from the pins.
 //   * kScratch: recomputes every product on demand by iterating the net's
@@ -39,24 +41,23 @@
 //     decisions to a kScratch run — while still performing the full cached
 //     maintenance and cross-checking the cache against the scratch answer
 //     at every gain query (throws std::logic_error past kProductAuditTol).
-//     This is how "the cached engine reproduces the scratch engine's cuts
-//     exactly" is made a testable statement: the cached *fast* read path
-//     agrees with scratch only within the drift bound, and ulp-level
-//     differences feed back through probabilities chaotically, so exact
-//     trajectory equality is asserted in shadow mode (see DESIGN.md 4f).
+//     The cached fast path agrees with scratch only within the drift bound,
+//     and ulp-level differences feed back through probabilities
+//     chaotically, so exact trajectory equality is asserted in shadow mode.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
-#include "partition/partition.h"
+#include "partition/kway_state.h"
 
 namespace prop {
 
 /// Which product engine a ProbGainCalculator uses (see file comment).
 enum class GainEngine {
-  kCached,   ///< incremental per-(net, side) products, O(1) updates
+  kCached,   ///< incremental per-(net, part) products, O(1) updates
   kScratch,  ///< on-demand pin iteration — exact, slow, the audit oracle
   kShadow,   ///< scratch answers + cached maintenance + per-query cross-check
 };
@@ -65,7 +66,7 @@ const char* to_string(GainEngine engine) noexcept;
 
 class ProbGainCalculator {
  public:
-  /// Default epoch length: a (net, side) product is recomputed exactly
+  /// Default epoch length: a (net, part) product is recomputed exactly
   /// after this many incremental multiply/divide updates.  Each update
   /// contributes ~1 ulp of relative error, so drift per epoch stays around
   /// 128 * 2^-52 ~ 3e-14 — orders of magnitude inside kProductAuditTol.
@@ -84,9 +85,13 @@ class ProbGainCalculator {
   /// magnitude above that but far below anything gain-relevant.
   static constexpr double kProductAuditTol = 1e-9;
 
-  explicit ProbGainCalculator(const Partition& part,
+  /// `state` must outlive the calculator; every KWayState::move must be
+  /// bracketed by lock / move_locked (or followed by reset()).
+  explicit ProbGainCalculator(const KWayState& state,
                               GainEngine engine = GainEngine::kCached,
                               int renorm_interval = kDefaultRenormInterval);
+  ProbGainCalculator(const KWayState&& state, GainEngine = GainEngine::kCached,
+                     int = kDefaultRenormInterval) = delete;
 
   GainEngine engine() const noexcept { return engine_; }
 
@@ -101,137 +106,124 @@ class ProbGainCalculator {
   /// under the cached engine, O(1) under scratch.
   void set_probability(NodeId u, double p);
 
-  /// Locks u: p(u) := 0 (paper Sec. 3.4).
+  /// Locks u: p(u) := 0 (paper Sec. 3.4).  Call BEFORE KWayState::move so
+  /// the lock lands on u's current part.
   void lock(NodeId u);
 
-  /// Records that locked node u moved sides (call after Partition::move).
-  void move_locked(NodeId u, int from_side);
+  /// Records that locked node u moved from `from_part` to its current part
+  /// (call after KWayState::move).
+  void move_locked(NodeId u, NodeId from_part);
 
-  /// Probabilistic gain g(u) = sum over nets of u of g_n(u).
-  /// O(degree(u)) cached, O(degree(u) * netsize) scratch.  Shadow returns
-  /// the scratch answer after asserting the cached one agrees within
-  /// kProductAuditTol (std::logic_error otherwise).
-  double gain(NodeId u) const;
+  /// Probabilistic gain of moving u to part `to` (`to` != part(u)): the sum
+  /// over u's nets of g_n(u -> to).  O(degree(u)) cached,
+  /// O(degree(u) * netsize) scratch.  Shadow returns the scratch answer
+  /// after asserting the cached one agrees within kProductAuditTol
+  /// (std::logic_error otherwise).
+  double gain(NodeId u, NodeId to) const;
 
   /// Gain restricted to one net, always computed from scratch by explicit
   /// pin iteration — the reference oracle for tests, the Figure 1
   /// walkthrough and the property suite.
-  double net_gain(NodeId u, NetId n) const;
+  double net_gain(NodeId u, NetId n, NodeId to) const;
 
   /// From-scratch total gain (sum of net_gain over u's nets) regardless of
   /// the configured engine — the oracle the cached engine is audited
   /// against.
-  double scratch_gain(NodeId u) const;
+  double scratch_gain(NodeId u, NodeId to) const;
 
-  /// Emits (v, g_n(v)) for every FREE pin v of net n with a nonzero
-  /// contribution, in O(|n|) total.  The cached engine reads the side
-  /// products straight from the cache, excludes each pin's own probability
-  /// by multiplying with its cached reciprocal, and skips frozen nets
-  /// (locked pins on both sides: every free-pin contribution is exactly 0)
-  /// without emitting.  The scratch/shadow engines compute the products
-  /// with one pin pass and divide each pin's probability back out — the
-  /// legacy cost model — and emit every free pin, zero contributions
-  /// included.  Summing per-net emissions over a node's nets equals
-  /// gain(v); the PROP pass uses before/after deltas of this per net
-  /// touched by a move, and the net-major bootstrap sweep accumulates it
-  /// over all nets.
+  /// Emits (v, to, g_n(v -> to)) for every FREE pin v of net n, in pin
+  /// order, and every target part to != part(v), in ascending order.
+  /// Summing the emissions for (v, to) over v's nets equals gain(v, to);
+  /// the 2-way PROP pass uses before/after deltas of this per net touched
+  /// by a move, and its net-major bootstrap sweep accumulates it over all
+  /// nets.
+  ///
+  /// The cached engine reads the part products straight from the cache,
+  /// excludes each pin's own probability by multiplying with its cached
+  /// reciprocal, and emits no pair whose source and target part both hold
+  /// a locked pin (the pair's contribution is exactly 0 for the rest of the
+  /// pass — at k = 2 that is a whole frozen net).  The scratch/shadow
+  /// engines compute the products with one pin pass, divide each pin's
+  /// probability back out, and emit every pair, zero contributions
+  /// included.
   template <typename Emit>
   void for_each_net_gain(NetId n, Emit&& emit) const {
-    const Partition& part = *part_;
-    const Hypergraph& g = part.graph();
+    const KWayState& state = *state_;
+    const Hypergraph& g = state.graph();
     const auto pins = g.pins_of(n);
     const double c = g.net_cost(n);
-    const bool blocked[2] = {side_locked(n, 0), side_locked(n, 1)};
+    const bool cached = engine_ == GainEngine::kCached;
 
-    if (engine_ == GainEngine::kCached) {
-      // Frozen net: locked pins on both sides mean the net is pinned in the
-      // cut and both removal products are 0, so g_n(v) == 0 for every free
-      // pin v for the rest of the pass.
-      if (blocked[0] && blocked[1]) return;
-      const bool cut = part.is_cut(n);
-      const double prod[2] = {prod_[2 * n], prod_[2 * n + 1]};
-      const std::uint32_t zeros[2] = {zero_free_[2 * n],
-                                      zero_free_[2 * n + 1]};
-      const double side_prod[2] = {
-          (blocked[0] || zeros[0] > 0) ? 0.0 : prod[0],
-          (blocked[1] || zeros[1] > 0) ? 0.0 : prod[1]};
+    // Per-part (product of nonzero free-pin p, count of free pins with
+    // p == 0): copied from the cache, or recomputed with one pin pass.
+    if (cached) {
+      // Every part holds a locked pin: every pair is frozen.
+      NodeId p = 0;
+      while (p < k_ && part_locked(n, p)) ++p;
+      if (p == k_) return;
+      std::copy_n(prod_.begin() + slot(n, 0), k_, emit_prod_.begin());
+      std::copy_n(zero_free_.begin() + slot(n, 0), k_, emit_zeros_.begin());
+    } else {
+      std::fill(emit_prod_.begin(), emit_prod_.end(), 1.0);
+      std::fill(emit_zeros_.begin(), emit_zeros_.end(), 0u);
       for (const NodeId v : pins) {
         if (locked_[v]) continue;
-        const int a = part.side(v);
-        double prod_a_excl;
-        if (blocked[a]) {
-          prod_a_excl = 0.0;
-        } else if (p_[v] == 0.0) {
-          prod_a_excl = zeros[a] > 1 ? 0.0 : prod[a];
+        const NodeId pv = state.part(v);
+        if (p_[v] == 0.0) {
+          ++emit_zeros_[pv];
         } else {
-          prod_a_excl = zeros[a] > 0 ? 0.0 : prod[a] * recip_[v];
-        }
-        if (cut) {
-          emit(v, c * (prod_a_excl - side_prod[1 - a]));
-        } else {
-          // Net lies entirely on v's side (it contains v).
-          emit(v, -c * (1.0 - prod_a_excl));
+          emit_prod_[pv] *= p_[v];
         }
       }
-      return;
     }
-
-    const bool cut = part.is_cut(n);
-    double prod[2] = {1.0, 1.0};
-    std::uint32_t zeros[2] = {0, 0};
     for (const NodeId v : pins) {
       if (locked_[v]) continue;
-      if (p_[v] == 0.0) {
-        ++zeros[part.side(v)];
-      } else {
-        prod[part.side(v)] *= p_[v];
-      }
-    }
-    const double side_prod[2] = {
-        (blocked[0] || zeros[0] > 0) ? 0.0 : prod[0],
-        (blocked[1] || zeros[1] > 0) ? 0.0 : prod[1]};
-
-    for (const NodeId v : pins) {
-      if (locked_[v]) continue;
-      const int a = part.side(v);
-      const double prod_a_excl =
-          excl_product(blocked[a], zeros[a], prod[a], p_[v]);
-      if (cut) {
-        emit(v, c * (prod_a_excl - side_prod[1 - a]));
-      } else {
-        // Net lies entirely on v's side (it contains v).
-        emit(v, -c * (1.0 - prod_a_excl));
+      const NodeId a = state.part(v);
+      const bool a_blocked = part_locked(n, a);
+      const double prod_a_excl = excl_product(
+          a_blocked, emit_zeros_[a], emit_prod_[a], v, cached);
+      for (NodeId i = 0; i + 1 < k_; ++i) {
+        const NodeId to = target(a, i);
+        const bool to_blocked = part_locked(n, to);
+        if (cached && a_blocked && to_blocked) continue;
+        const double prod_to =
+            (to_blocked || emit_zeros_[to] > 0) ? 0.0 : emit_prod_[to];
+        emit(v, to, term(n, to, c, prod_a_excl, prod_to));
       }
     }
   }
 
-  /// P(net n is removed from the cut toward side `to`): the product of
-  /// p over free pins of n on the *other* side, 0 if that side has a locked
-  /// pin.  This is the paper's p(n^{1->2}) / p(n^{2->1}).
-  double removal_probability(NetId n, int to) const;
+  /// P(net n is pulled out of part `from` this pass): the product of p over
+  /// n's pins in `from`, 0 if `from` holds a locked pin — the paper's
+  /// p(n^{1->2}) when `from` is its side 1.  Computed from the pins.
+  double removal_probability(NetId n, NodeId from) const;
 
-  /// Recomputes every cached (net, side) product and zero counter exactly
+  /// Recomputes every cached (net, part) product and zero counter exactly
   /// from the pins and restarts all renormalization epochs.  Immediately
   /// afterwards the cache is bit-identical to a scratch in-pin-order
-  /// recompute.  No-op under the scratch engine.  O(pins).
+  /// recompute.  No-op under the scratch engine.  O(pins * k).
   void renormalize_all();
 
-  /// Max |cached product - scratch recompute| over all (net, side) slots;
-  /// 0 under the scratch engine.  O(pins); telemetry/test instrument.
+  /// Max |cached product - scratch recompute| over all (net, part) slots;
+  /// 0 under the scratch engine.  O(pins * k); telemetry/test instrument.
   double max_product_drift() const;
 
-  /// Debug invariant audit: recounts the per-(net, side) locked-pin table
-  /// from the lock flags and the partition, checks probability bounds
+  /// Debug invariant audit: recounts the per-(net, part) locked-pin table
+  /// from the lock flags and the state, checks probability bounds
   /// (locked => p == 0, free => p in [0, 1]) and — when the cache is
   /// maintained (kCached/kShadow) — cross-checks every zero-factor counter
   /// and cached reciprocal exactly and every cached product against the
   /// scratch oracle within kProductAuditTol.  Throws std::logic_error on
-  /// any mismatch.  O(pins); used by PROP's audit_interval mode.
+  /// any mismatch.  O(pins * k); used by PROP's audit_interval mode.
   void audit_consistency() const;
 
  private:
-  bool side_locked(NetId n, int s) const noexcept {
-    return locked_pins_[2 * n + s] > 0;
+  std::size_t slot(NetId n, NodeId p) const noexcept {
+    return static_cast<std::size_t>(n) * k_ + p;
+  }
+
+  bool part_locked(NetId n, NodeId p) const noexcept {
+    return locked_pins_[slot(n, p)] > 0;
   }
 
   /// Both kCached and kShadow keep the incremental product state up to
@@ -240,49 +232,79 @@ class ProbGainCalculator {
     return engine_ != GainEngine::kScratch;
   }
 
-  /// Product over free pins of one side excluding a free pin whose
-  /// probability is `p_self`, given the side's blocked flag, zero-factor
-  /// count and nonzero-factor product (scratch/shadow emission form).
-  static double excl_product(bool blocked, std::uint32_t zeros, double prod,
-                             double p_self) noexcept {
-    if (blocked) return 0.0;
-    if (p_self == 0.0) return zeros > 1 ? 0.0 : prod;
-    return zeros > 0 ? 0.0 : prod / p_self;
+  /// The i-th target part (ascending) of a pin in part a: every part but a,
+  /// enumerated without a data-dependent branch.
+  static NodeId target(NodeId a, NodeId i) noexcept {
+    return i + static_cast<NodeId>(i >= a);
   }
 
-  /// gain(u) computed from the cached products — the kCached fast path,
-  /// and the value kShadow cross-checks against the scratch answer.
-  double cached_gain(NodeId u) const;
+  /// Cached removal product of part p of net n (0 if p holds a locked pin
+  /// or a free pin with p == 0).
+  double cached_part_product(NetId n, NodeId p) const noexcept {
+    return (part_locked(n, p) || zero_free_[slot(n, p)] > 0)
+               ? 0.0
+               : prod_[slot(n, p)];
+  }
 
-  /// Applies one factor change old_p -> new_p to the (net, side) slot —
+  /// Product over the free pins of one part excluding its free pin v, given
+  /// the part's blocked flag, zero-factor count and nonzero-factor product.
+  /// The cached engine removes v's factor with its cached reciprocal, the
+  /// scratch/shadow engines divide it out.
+  double excl_product(bool blocked, std::uint32_t zeros, double prod,
+                      NodeId v, bool cached) const noexcept {
+    if (blocked) return 0.0;
+    if (p_[v] == 0.0) return zeros > 1 ? 0.0 : prod;
+    if (zeros > 0) return 0.0;
+    return cached ? prod * recip_[v] : prod / p_[v];
+  }
+
+  /// g_n(v -> to) from v's excluded source product and the target's
+  /// removal product.
+  double term(NetId n, NodeId to, double c, double prod_a_excl,
+              double prod_to) const noexcept {
+    if (state_->pins_in(n, to) > 0) return c * (prod_a_excl - prod_to);
+    return -c * (1.0 - prod_a_excl);
+  }
+
+  /// gain(u, to) computed from the cached products — the kCached fast
+  /// path, and the value kShadow cross-checks against the scratch answer.
+  double cached_gain(NodeId u, NodeId to) const;
+
+  /// Applies one factor change old_p -> new_p to the (net, part) slot —
   /// old_r is the cached reciprocal of old_p, so the removal is a multiply
   /// — and renormalizes when the epoch expires or the product degenerates.
-  void update_factor(NetId n, int s, double old_p, double old_r,
+  void update_factor(NetId n, NodeId p, double old_p, double old_r,
                      double new_p);
 
-  /// Exact recompute of one (net, side) product/zero counter from the pins.
-  void renormalize_side(NetId n, int s);
+  /// Exact recompute of one (net, part) product/zero counter from the pins.
+  void renormalize_slot(NetId n, NodeId p);
 
   /// Scratch recompute of (product of nonzero free-pin p, zero count) for
-  /// one side of a net, multiplying in pin order (the renormalized cache is
+  /// one part of a net, multiplying in pin order (the renormalized cache is
   /// bit-identical to this).
-  void scratch_side(NetId n, int s, double& prod,
+  void scratch_part(NetId n, NodeId p, double& prod,
                     std::uint32_t& zeros) const;
 
-  const Partition* part_;
+  const KWayState* state_;
+  NodeId k_;
   GainEngine engine_;
   int renorm_interval_;
   std::vector<double> p_;
   std::vector<std::uint8_t> locked_;
-  std::vector<std::uint32_t> locked_pins_;  // locked pins per (net, side)
+  std::vector<std::uint32_t> locked_pins_;  // locked pins per (net, part)
 
   // Cached-engine state; unused (empty) under kScratch.  prod_, zero_free_
-  // and updates_ have one slot per (net, side); recip_ caches 1/p per node
+  // and updates_ have one slot per (net, part); recip_ caches 1/p per node
   // so factor removal and pin exclusion are multiplies, not divides.
-  std::vector<double> prod_;           // product of nonzero free-pin p
+  std::vector<double> prod_;              // product of nonzero free-pin p
   std::vector<std::uint32_t> zero_free_;  // free pins with p == 0
   std::vector<std::uint32_t> updates_;    // incremental updates this epoch
-  std::vector<double> recip_;          // 1/p, 0 where p == 0
+  std::vector<double> recip_;             // 1/p, 0 where p == 0
+
+  // Per-part scratch of the scratch/shadow emission (k entries each), so
+  // for_each_net_gain must not be re-entered from its own callback.
+  mutable std::vector<double> emit_prod_;
+  mutable std::vector<std::uint32_t> emit_zeros_;
 };
 
 }  // namespace prop

@@ -29,7 +29,8 @@ PropRefiner::PropRefiner(Partition& part, const BalanceConstraint& balance,
     : part_(&part),
       balance_(&balance),
       config_(&config),
-      calc_(part, config.gain_engine, config.renorm_interval),
+      state_(part),
+      calc_(state_, config.gain_engine, config.renorm_interval),
       side0_(part.graph().num_nodes()),
       side1_(part.graph().num_nodes()),
       gains_(part.graph().num_nodes(), 0.0),
@@ -51,29 +52,29 @@ PropRefiner::PropRefiner(Partition& part, const BalanceConstraint& balance,
 /// benchmark measures it by.  kShadow deliberately follows the scratch
 /// branch so a shadow run is decision-identical to a scratch run.
 void PropRefiner::bootstrap_probabilities() {
-  const Partition& part = *part_;
   const PropConfig& config = *config_;
-  const NodeId n = part.graph().num_nodes();
+  const NodeId n = state_.graph().num_nodes();
   if (config.bootstrap == PropBootstrap::kUniform) {
     for (NodeId u = 0; u < n; ++u) {
       calc_.set_probability(u, config.model.pinit);
     }
   } else {
     for (NodeId u = 0; u < n; ++u) {
-      calc_.set_probability(u, config.model.from_gain(part.immediate_gain(u)));
+      const double immediate = state_.cut_gain(u, 1 - state_.part(u));
+      calc_.set_probability(u, config.model.from_gain(immediate));
     }
   }
-  const NetId nets = part.graph().num_nets();
+  const NetId nets = state_.graph().num_nets();
   for (int iter = 0; iter < config.refine_iterations; ++iter) {
     // Gains from the current probability snapshot...
     if (config.gain_engine == GainEngine::kCached) {
       std::fill(gains_.begin(), gains_.end(), 0.0);
       for (NetId net = 0; net < nets; ++net) {
         calc_.for_each_net_gain(
-            net, [&](NodeId v, double gv) { gains_[v] += gv; });
+            net, [&](NodeId v, NodeId, double gv) { gains_[v] += gv; });
       }
     } else {
-      for (NodeId u = 0; u < n; ++u) gains_[u] = calc_.gain(u);
+      for (NodeId u = 0; u < n; ++u) gains_[u] = gain_of(u);
     }
     // ...then probabilities from those gains.
     for (NodeId u = 0; u < n; ++u) {
@@ -88,13 +89,13 @@ void PropRefiner::bootstrap_probabilities() {
 /// already right — skip the AVL remove/reinsert churn entirely (counted as
 /// a refresh_skip in telemetry).
 void PropRefiner::refresh_node(NodeId v, PassStats* stats) {
-  const double g = calc_.gain(v);
+  const double g = gain_of(v);
   if (std::abs(g - gains_[v]) <= kGainEps) {
     if (stats) ++stats->refresh_skips;
     return;
   }
   gains_[v] = g;
-  GainTree& tree = part_->side(v) == 0 ? side0_ : side1_;
+  GainTree& tree = tree_of(v);
   if (tree.contains(v)) {
     tree.update(v, g);
     if (stats) ++stats->ops.updates;
@@ -110,11 +111,11 @@ void PropRefiner::refresh_node(NodeId v, PassStats* stats) {
 /// ProbGainCalculator::gain exactly.
 void PropRefiner::resync_gains(PassStats* stats) {
   calc_.renormalize_all();
-  const NodeId n = part_->graph().num_nodes();
+  const NodeId n = state_.graph().num_nodes();
   for (NodeId v = 0; v < n; ++v) {
     if (!calc_.is_free(v)) continue;
-    gains_[v] = calc_.gain(v);
-    GainTree& tree = part_->side(v) == 0 ? side0_ : side1_;
+    gains_[v] = gain_of(v);
+    GainTree& tree = tree_of(v);
     if (tree.contains(v)) {
       tree.update(v, gains_[v]);
       if (stats) ++stats->ops.updates;
@@ -133,15 +134,14 @@ void PropRefiner::resync_gains(PassStats* stats) {
 /// design* (the paper's Sec. 3.4 update policy).  Returns the max absolute
 /// drift observed (feeds the degradation chain).
 double PropRefiner::audit(PassStats* stats, bool expect_scratch_match) const {
-  const Partition& part = *part_;
   const PropConfig& config = *config_;
-  audit::check_cut(part, config.audit_tolerance);
+  audit::check_cut(state_, config.audit_tolerance);
   calc_.audit_consistency();
   audit::DriftTracker drift;
-  const NodeId n = part.graph().num_nodes();
+  const NodeId n = state_.graph().num_nodes();
   for (NodeId v = 0; v < n; ++v) {
-    const GainTree& own = part.side(v) == 0 ? side0_ : side1_;
-    const GainTree& other = part.side(v) == 0 ? side1_ : side0_;
+    const GainTree& own = state_.part(v) == 0 ? side0_ : side1_;
+    const GainTree& other = state_.part(v) == 0 ? side1_ : side0_;
     if (!calc_.is_free(v)) {
       audit::check_node(!side0_.contains(v) && !side1_.contains(v),
                         "PROP: locked node still in a gain tree", v);
@@ -151,7 +151,7 @@ double PropRefiner::audit(PassStats* stats, bool expect_scratch_match) const {
                       "PROP: free node not in its side's gain tree", v);
     audit::check_node(own.key(v) == gains_[v],
                       "PROP: tree key out of sync with gains[]", v);
-    const double scratch = calc_.gain(v);
+    const double scratch = gain_of(v);
     drift.observe(v, gains_[v], scratch);
     if (expect_scratch_match) {
       audit::check_close(gains_[v], scratch, config.audit_tolerance,
@@ -168,9 +168,9 @@ double PropRefiner::audit(PassStats* stats, bool expect_scratch_match) const {
 }
 
 double PropRefiner::run_pass(PassStats* stats) {
-  Partition& part = *part_;
+  KWayState& state = state_;
   const PropConfig& config = *config_;
-  const Hypergraph& g = part.graph();
+  const Hypergraph& g = state.graph();
   const NodeId n = g.num_nodes();
 
   calc_.reset();
@@ -186,7 +186,7 @@ double PropRefiner::run_pass(PassStats* stats) {
   sort_scratch_[0].clear();
   sort_scratch_[1].clear();
   for (NodeId u = 0; u < n; ++u) {
-    sort_scratch_[part.side(u)].emplace_back(gains_[u], u);
+    sort_scratch_[state.part(u)].emplace_back(gains_[u], u);
   }
   for (int s = 0; s < 2; ++s) {
     auto& staged = sort_scratch_[s];
@@ -208,14 +208,14 @@ double PropRefiner::run_pass(PassStats* stats) {
   const auto best_feasible = [&](GainTree& tree, int side) {
     if (tree.empty()) return GainTree::kNull;
     if (unit_sizes) {
-      if (!balance.move_feasible(part.side_size(0), side, 1)) {
+      if (!balance.move_feasible(state.part_size(0), side, 1)) {
         return GainTree::kNull;
       }
       return tree.max();
     }
     GainTree::Handle found = GainTree::kNull;
     tree.for_each_descending([&](GainTree::Handle h, double) {
-      if (balance.move_feasible(part.side_size(0), side, g.node_size(h))) {
+      if (balance.move_feasible(state.part_size(0), side, g.node_size(h))) {
         found = h;
         return false;
       }
@@ -254,13 +254,13 @@ double PropRefiner::run_pass(PassStats* stats) {
     } else {
       // Gain tie (within FP tolerance — an exact comparison of probability
       // products never ties): move from the heavier side, mirroring FM.
-      u = part.side_size(0) >= part.side_size(1) ? h0 : h1;
+      u = state.part_size(0) >= state.part_size(1) ? h0 : h1;
     }
 
     // Step 7: the recorded prefix uses the *immediate* deterministic gain.
-    const int from = part.side(u);
-    const double immediate = part.immediate_gain(u);
-    (from == 0 ? side0_ : side1_).erase(u);
+    const NodeId from = state.part(u);
+    const double immediate = state.cut_gain(u, 1 - from);
+    tree_of(u).erase(u);
     if (stats) ++stats->ops.erases;
 
     // Step 8 / Sec. 3.4: after moving u, the removal probabilities of u's
@@ -270,7 +270,7 @@ double PropRefiner::run_pass(PassStats* stats) {
     to_refresh_.clear();
     const auto visit = [&](double sign) {
       for (const NetId net : g.nets_of(u)) {
-        calc_.for_each_net_gain(net, [&](NodeId v, double gv) {
+        calc_.for_each_net_gain(net, [&](NodeId v, NodeId, double gv) {
           if (v == u) return;
           if (visit_stamp_[v] != stamp_) {
             visit_stamp_[v] = stamp_;
@@ -283,7 +283,7 @@ double PropRefiner::run_pass(PassStats* stats) {
     };
     visit(-1.0);
     calc_.lock(u);
-    part.move(u);
+    state.move(u, 1 - from);
     calc_.move_locked(u, from);
     visit(+1.0);
 
@@ -294,7 +294,7 @@ double PropRefiner::run_pass(PassStats* stats) {
       // updates nor seep into gains[].
       if (std::abs(delta_[v]) <= kGainEps) continue;
       gains_[v] += delta_[v];
-      GainTree& tree = part.side(v) == 0 ? side0_ : side1_;
+      GainTree& tree = tree_of(v);
       if (tree.contains(v)) {
         tree.update(v, gains_[v]);
         if (stats) ++stats->ops.updates;
@@ -371,10 +371,13 @@ double PropRefiner::run_pass(PassStats* stats) {
     }
   }
 
-  // Step 10: keep only the maximum-prefix moves.
+  // Step 10: keep only the maximum-prefix moves — roll the speculative
+  // state back past them, and apply just them to the caller's partition.
   for (std::size_t i = moved_.size(); i > best_count; --i) {
-    part.move(moved_[i - 1]);
+    const NodeId v = moved_[i - 1];
+    state.move(v, 1 - state.part(v));
   }
+  for (std::size_t i = 0; i < best_count; ++i) part_->move(moved_[i]);
   if (stats) {
     stats->moves_attempted = moved_.size();
     stats->moves_accepted = best_count;
@@ -391,7 +394,7 @@ RefineOutcome prop_refine(Partition& part, const BalanceConstraint& balance,
   for (int pass = 0; pass < config.max_passes; ++pass) {
     PassStats* stats = nullptr;
     WallTimer wall;
-    CpuTimer cpu;
+    ThreadCpuTimer cpu;
     if (config.telemetry) {
       stats = &config.telemetry->begin_pass(part.cut_cost());
     }

@@ -1,10 +1,11 @@
 // PROP — the PRObabilistic Partitioner (paper Fig. 2).
 //
 // An FM-style pass engine that *selects* moves by probabilistic gain
-// (prob_gain.h) while *accepting* the maximum prefix of deterministic
-// immediate gains, so every accepted pass is a true cut improvement.  Node
-// gains live in the AVL tree; after each move the mover's neighbors and the
-// top few nodes of each side get fresh gains and probabilities (Sec. 3.4).
+// (prob_gain.h at k = 2) while *accepting* the maximum prefix of
+// deterministic immediate gains, so every accepted pass is a true cut
+// improvement.  Node gains live in the AVL tree; after each move the
+// mover's neighbors and the top few nodes of each side get fresh gains and
+// probabilities (Sec. 3.4).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "core/prob_gain.h"
 #include "core/prop_config.h"
 #include "datastruct/avl_tree.h"
+#include "partition/kway_state.h"
 #include "partition/partition.h"
 #include "partition/partitioner.h"
 
@@ -24,12 +26,15 @@ namespace prop {
 RefineOutcome prop_refine(Partition& part, const BalanceConstraint& balance,
                           const PropConfig& config = {});
 
-/// Reusable PROP pass engine.  Owns the gain calculator, the per-side AVL
+/// Reusable PROP pass engine.  Owns a k = 2 KWayState mirror of `part` (the
+/// speculative moves and rollbacks of a pass run on it; only the accepted
+/// prefix is applied to `part`), the gain calculator, the per-side AVL
 /// trees and every per-pass scratch vector (gains, deltas, move log, visit
 /// stamps), so repeated passes allocate nothing after construction — the
 /// gain-kernel microbenchmark asserts exactly that.  `part`, `balance` and
-/// `config` must outlive the refiner.  prop_refine() is the convenience
-/// wrapper that adds the pass loop and the deterministic-FM fallback.
+/// `config` must outlive the refiner, and `part` must not be modified
+/// behind its back.  prop_refine() is the convenience wrapper that adds the
+/// pass loop and the deterministic-FM fallback.
 class PropRefiner {
  public:
   PropRefiner(Partition& part, const BalanceConstraint& balance,
@@ -49,10 +54,16 @@ class PropRefiner {
   /// Emergency resyncs performed across all passes of this refiner.
   int emergency_resyncs() const noexcept { return emergency_resyncs_; }
 
-  const ProbGainCalculator& calculator() const noexcept { return calc_; }
-
  private:
   using GainTree = AvlTree<double>;
+
+  GainTree& tree_of(NodeId v) noexcept {
+    return state_.part(v) == 0 ? side0_ : side1_;
+  }
+  /// Probabilistic gain of moving v to the other side.
+  double gain_of(NodeId v) const {
+    return calc_.gain(v, 1 - state_.part(v));
+  }
 
   void bootstrap_probabilities();
   void refresh_node(NodeId v, PassStats* stats);
@@ -62,6 +73,7 @@ class PropRefiner {
   Partition* part_;
   const BalanceConstraint* balance_;
   const PropConfig* config_;
+  KWayState state_;
   ProbGainCalculator calc_;
   GainTree side0_;
   GainTree side1_;

@@ -103,23 +103,4 @@ ContractionResult contract(const Hypergraph& g,
   return ContractionResult{std::move(builder).build(), std::move(fine_to_coarse)};
 }
 
-std::vector<int> project_partition(const std::vector<NodeId>& fine_to_coarse,
-                                   const std::vector<int>& coarse_side) {
-  std::vector<int> fine_side(fine_to_coarse.size());
-  for (std::size_t u = 0; u < fine_to_coarse.size(); ++u) {
-    fine_side[u] = coarse_side[fine_to_coarse[u]];
-  }
-  return fine_side;
-}
-
-std::vector<std::uint8_t> project_partition(
-    const std::vector<NodeId>& fine_to_coarse,
-    const std::vector<std::uint8_t>& coarse_side) {
-  std::vector<std::uint8_t> fine_side(fine_to_coarse.size());
-  for (std::size_t u = 0; u < fine_to_coarse.size(); ++u) {
-    fine_side[u] = coarse_side[fine_to_coarse[u]];
-  }
-  return fine_side;
-}
-
 }  // namespace prop

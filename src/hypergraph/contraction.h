@@ -38,13 +38,16 @@ ContractionResult contract(const Hypergraph& g,
                            const std::vector<NodeId>& cluster_of,
                            NodeId num_clusters);
 
-/// Projects a partition of the coarse graph back to the fine graph.
-std::vector<int> project_partition(const std::vector<NodeId>& fine_to_coarse,
-                                   const std::vector<int>& coarse_side);
-
-/// Same projection for the 0/1 byte sides Partition uses.
-std::vector<std::uint8_t> project_partition(
-    const std::vector<NodeId>& fine_to_coarse,
-    const std::vector<std::uint8_t>& coarse_side);
+/// Projects a partition of the coarse graph back to the fine graph: fine
+/// node u gets the part (or side) of its coarse node fine_to_coarse[u].
+template <typename Part>
+std::vector<Part> project_partition(const std::vector<NodeId>& fine_to_coarse,
+                                    const std::vector<Part>& coarse) {
+  std::vector<Part> fine(fine_to_coarse.size());
+  for (std::size_t u = 0; u < fine.size(); ++u) {
+    fine[u] = coarse[fine_to_coarse[u]];
+  }
+  return fine;
+}
 
 }  // namespace prop

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "kway/kway_state.h"
+#include "partition/kway_state.h"
 
 namespace prop {
 

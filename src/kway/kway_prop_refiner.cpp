@@ -8,7 +8,7 @@
 
 #include "datastruct/avl_tree.h"
 #include "datastruct/kway_gain_entry.h"
-#include "kway/kway_state.h"
+#include "partition/kway_state.h"
 #include "runtime/run_context.h"
 #include "telemetry/telemetry.h"
 #include "util/timer.h"
@@ -255,7 +255,7 @@ class PassEngine {
   KWayState& state_;
   const KWayBalanceWindow& window_;
   const KWayPropConfig& config_;
-  KWayProbGainCalculator calc_;
+  ProbGainCalculator calc_;
   GainTree tree_;
   std::vector<double> gains_;
   std::vector<std::uint32_t> stamp_;

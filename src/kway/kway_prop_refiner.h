@@ -3,7 +3,7 @@
 // The same speculative pass discipline as the 2-way PROP refiner
 // (core/prop_partitioner.h) lifted to k parts: every free node carries a
 // probability of moving, gains are the probabilistic per-(net, part)
-// products of kway_prob_gain.h, nodes are held in ONE AVL tree keyed by
+// products of core/prob_gain.h, nodes are held in ONE AVL tree keyed by
 // their best move (KWayGainEntry: gain + target part), and each pass
 // speculatively moves best-feasible nodes — locking movers, refreshing
 // neighbor gains — then rolls back to the prefix with the best exact
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "core/probability_model.h"
-#include "kway/kway_prob_gain.h"
+#include "core/prob_gain.h"
 #include "kway/kway_refine.h"  // KWayObjective
 #include "partition/kway_balance.h"
 
@@ -36,7 +36,7 @@ struct KWayPropConfig {
   /// Probability-refinement sweeps per pass before moves start (Sec. 3.3).
   int refine_iterations = 2;
   GainEngine gain_engine = GainEngine::kCached;
-  int renorm_interval = KWayProbGainCalculator::kDefaultRenormInterval;
+  int renorm_interval = ProbGainCalculator::kDefaultRenormInterval;
   /// Top-of-tree entries re-verified after each move (Sec. 3.4).
   int top_update_width = 5;
   int max_passes = 64;

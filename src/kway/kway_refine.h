@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
-#include "kway/kway_state.h"
+#include "partition/kway_state.h"
 #include "partition/partitioner.h"
 
 namespace prop {

@@ -210,7 +210,7 @@ RefineOutcome la_refine(Partition& part, const BalanceConstraint& balance,
   for (int pass = 0; pass < config.max_passes; ++pass) {
     PassStats* stats = nullptr;
     WallTimer wall;
-    CpuTimer cpu;
+    ThreadCpuTimer cpu;
     if (config.telemetry) {
       stats = &config.telemetry->begin_pass(part.cut_cost());
     }

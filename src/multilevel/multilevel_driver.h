@@ -12,12 +12,11 @@
 // exactly through every contraction level (see contraction.h), so the cut
 // measured at any level is the flat cut of its projection.
 //
-// Level hierarchy: repeated attraction_clusters() + contract() until the
-// graph has at most coarsest_max_nodes nodes, coarsening stalls
-// (min_reduction), or max_levels is hit.  Refinement: PROP by default, FM
-// as the ablation (MultilevelConfig::refiner).  The cached-product gain
-// engine is rebuilt per level from the coarse hypergraph — see DESIGN.md
-// Sec. 4g for why the remap-through-contraction fast path is deferred.
+// Level hierarchy: coarsen() (coarsening.h, shared with the k-way
+// V-cycle).  Refinement: PROP by default, FM as the ablation
+// (MultilevelConfig::refiner).  The cached-product gain engine is rebuilt
+// per level from the coarse hypergraph — see DESIGN.md Sec. 4g for why the
+// remap-through-contraction fast path is deferred.
 //
 // Determinism: everything is seeded (clustering visit order, initial
 // starts, refiner tie-breaks), so equal seeds give byte-identical results;
@@ -32,30 +31,15 @@
 
 #include "core/prop_config.h"
 #include "fm/fm_partitioner.h"
+#include "multilevel/coarsening.h"
 #include "partition/partitioner.h"
-#include "util/rng.h"
 
 namespace prop {
 
 enum class MlRefiner { kProp, kFm };
 
-struct MultilevelConfig {
-  /// Coarsening stops once the level has at most this many nodes.
-  NodeId coarsest_max_nodes = 200;
-  /// Hard cap on contraction levels (safety; attraction coarsening roughly
-  /// halves the graph per level, so ~log2(n) levels in practice).
-  int max_levels = 64;
-  /// Coarsening stalls when one level keeps more than this fraction of its
-  /// input nodes; the V-cycle then starts from whatever it has.
-  double min_reduction = 0.95;
-  /// Cluster weight cap as a fraction of total node size.  Keeps coarse
-  /// nodes light enough that every fraction-mapped balance window stays
-  /// reachable (BalanceConstraint::fraction widens by the max node size).
-  double max_cluster_fraction = 1.0 / 32.0;
-  /// Nets larger than this are ignored by the attraction rating: a k-pin
-  /// net contributes c/(k-1) per pin, so huge nets carry almost no signal
-  /// but dominate the rating sweep's cost.
-  std::size_t rating_max_net_size = 64;
+/// The coarsening settings are the CoarseningConfig base (coarsening.h).
+struct MultilevelConfig : CoarseningConfig {
   /// Multi-start FM runs for the initial partition of the coarsest graph.
   int initial_runs = 10;
   /// Refiner applied at every uncoarsening level (PROP, or FM as the
@@ -78,17 +62,6 @@ struct MultilevelResult {
   NodeId coarsest_nodes = 0; ///< node count of the coarsest graph
   bool interrupted = false;  ///< a deadline/cancellation cut refinement short
 };
-
-/// One coarsening step's clustering: visits nodes in seeded random order;
-/// each unassigned node joins (or forms) the cluster of its
-/// highest-attraction neighbor, where attraction sums c(n)/(|n|-1) over
-/// shared nets of size <= rating_max_net_size, subject to the cluster
-/// weight cap.  Returns a dense clustering (every id in [0, num_clusters)
-/// has at least one member).  Deterministic in `rng`.
-std::vector<NodeId> attraction_clusters(const Hypergraph& g, Rng& rng,
-                                        std::int64_t max_cluster_weight,
-                                        std::size_t rating_max_net_size,
-                                        NodeId& num_clusters);
 
 /// Runs the full V-cycle on `g`.  The finest level is refined under
 /// `balance` exactly; coarse levels use the same (r1, r2) fractions mapped

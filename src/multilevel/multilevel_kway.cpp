@@ -6,16 +6,10 @@
 #include <utility>
 
 #include "hypergraph/contraction.h"
-#include "kway/kway_state.h"
-#include "util/rng.h"
+#include "partition/kway_state.h"
 
 namespace prop {
 namespace {
-
-struct Level {
-  Hypergraph graph;
-  std::vector<NodeId> fine_to_coarse;
-};
 
 /// Greedy legalize/polish + (optionally) PROP at one level.  Returns the
 /// passes executed.
@@ -57,40 +51,15 @@ MultilevelKWayResult multilevel_kway_partition(
   const RunContext* ctx = config.context;
   MultilevelKWayResult out;
 
-  // Phase 1: coarsen until small, stalled, or out of levels — the same
-  // loop (and seeds) as the 2-way driver.  Never coarsen below k nodes.
-  const NodeId floor_nodes = std::max(config.coarsest_max_nodes, config.k);
-  std::deque<Level> levels;
-  const Hypergraph* current = &g;
-  for (int level = 0;
-       level < config.max_levels && current->num_nodes() > floor_nodes;
-       ++level) {
-    if (ctx && ctx->should_stop()) break;
-    Rng rng(mix_seed(seed, 0xC0A45EULL, static_cast<std::uint64_t>(level)));
-    const std::int64_t max_weight = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(
-               static_cast<double>(current->total_node_size()) *
-               config.max_cluster_fraction));
-    NodeId num_clusters = 0;
-    const std::vector<NodeId> cluster_of =
-        attraction_clusters(*current, rng, max_weight,
-                            config.rating_max_net_size, num_clusters);
-    if (num_clusters < config.k ||
-        static_cast<double>(num_clusters) >
-            config.min_reduction * static_cast<double>(current->num_nodes())) {
-      break;  // stalled, or contracting further would drop below k nodes
-    }
-    ContractionResult contracted =
-        contract(*current, cluster_of, num_clusters);
-    levels.push_back(Level{std::move(contracted.coarse),
-                           std::move(contracted.fine_to_coarse)});
-    current = &levels.back().graph;
-  }
+  // Phase 1: coarsen until small, stalled, or out of levels — never below
+  // k nodes.
+  const std::deque<CoarseLevel> levels =
+      coarsen(g, seed, config, config.k, ctx);
+  const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
   out.levels = static_cast<int>(levels.size());
-  out.coarsest_nodes = current->num_nodes();
+  out.coarsest_nodes = coarsest.num_nodes();
 
   // Phase 2: multi-start k-way pipeline on the coarsest graph.
-  const Hypergraph& coarsest = *current;
   KWayPipelineConfig pipeline;
   pipeline.k = config.k;
   pipeline.tolerance = config.tolerance;
@@ -125,13 +94,8 @@ MultilevelKWayResult multilevel_kway_partition(
   // stop the remaining levels are still projected (never refined), so the
   // flat result is always a valid k-way partition.
   for (std::size_t i = levels.size(); i-- > 0;) {
-    std::vector<NodeId> fine(levels[i].fine_to_coarse.size());
-    for (std::size_t u = 0; u < fine.size(); ++u) {
-      fine[u] = part[levels[i].fine_to_coarse[u]];
-    }
-    part = std::move(fine);
-    const Hypergraph& lg =
-        i == 0 ? g : levels[i - 1].graph;
+    part = project_partition(levels[i].fine_to_coarse, part);
+    const Hypergraph& lg = i == 0 ? g : levels[i - 1].graph;
     if (ctx && ctx->should_stop()) {
       out.interrupted = true;
       continue;

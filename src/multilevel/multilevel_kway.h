@@ -1,12 +1,13 @@
 // Multilevel k-way V-cycle: the 2-way driver's coarsening and projection
 // machinery with native k-way refinement at every uncoarsening level.
 //
-// Coarsening is the same attraction clustering + contract() loop as
-// multilevel_driver.h.  The coarsest graph is solved by the k-way pipeline
-// (recursive bisection with a multi-start FM bisector, then the configured
-// k-way refiner), and each projection step hands the next finer level an
-// already-good k-way partition that the greedy polish legalizes and the
-// k-way PROP refiner improves toward the configured objective.  Balance at
+// Coarsening is the same coarsen() hierarchy as multilevel_driver.h
+// (coarsening.h), never below k nodes.  The coarsest graph is solved by
+// the k-way pipeline (recursive bisection with a multi-start FM bisector,
+// then the configured k-way refiner), and each projection step hands the
+// next finer level an already-good k-way partition that the greedy polish
+// legalizes and the k-way PROP refiner improves toward the configured
+// objective.  Balance at
 // every level is the shared proportional-share window
 // (partition/kway_balance.h) recomputed against that level's max node
 // size, so super-node weight never makes the window unreachable.
@@ -26,7 +27,8 @@
 
 namespace prop {
 
-struct MultilevelKWayConfig {
+/// The coarsening settings are the CoarseningConfig base (coarsening.h).
+struct MultilevelKWayConfig : CoarseningConfig {
   NodeId k = 2;
   /// Proportional-share tolerance applied at every level.
   double tolerance = 0.1;
@@ -39,12 +41,6 @@ struct MultilevelKWayConfig {
   int initial_runs = 4;
   /// 2-way bisector settings for recursive bisection on the coarsest graph.
   FmConfig fm;
-  // Coarsening knobs — same semantics as MultilevelConfig.
-  NodeId coarsest_max_nodes = 200;
-  int max_levels = 64;
-  double min_reduction = 0.95;
-  double max_cluster_fraction = 1.0 / 32.0;
-  std::size_t rating_max_net_size = 64;
   /// Optional runtime context: polled between levels (a stop skips the
   /// remaining refinement but still projects down to the flat graph) and
   /// threaded into the PROP refiner.  Null = inert.

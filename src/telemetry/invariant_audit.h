@@ -28,6 +28,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "partition/kway_state.h"
 #include "partition/partition.h"
 
 namespace prop::audit {
@@ -59,16 +60,25 @@ inline void check_close(double incremental, double scratch, double tol,
   }
 }
 
-/// Asserts the partition's incrementally-maintained cut cost matches a
-/// from-scratch recount.
-inline void check_cut(const Partition& part, double tol) {
-  const double scratch = part.recompute_cut_cost();
-  if (!(std::abs(part.cut_cost() - scratch) <= tol)) {
+/// Asserts an incrementally-maintained cut cost matches a from-scratch
+/// recount.
+inline void check_cut_cost(double incremental, double scratch, double tol) {
+  if (!(std::abs(incremental - scratch) <= tol)) {
     std::ostringstream msg;
-    msg << "incremental cut cost " << part.cut_cost()
-        << " != recomputed " << scratch << ", tol " << tol;
+    msg << "incremental cut cost " << incremental << " != recomputed "
+        << scratch << ", tol " << tol;
     fail(msg.str());
   }
+}
+
+inline void check_cut(const Partition& part, double tol) {
+  check_cut_cost(part.cut_cost(), part.recompute_cut_cost(), tol);
+}
+
+inline void check_cut(const KWayState& state, double tol) {
+  double scratch = 0.0;
+  state.verify_costs(&scratch, nullptr);
+  check_cut_cost(state.cut_cost(), scratch, tol);
 }
 
 /// Tracks the largest |incremental - scratch| gap seen across a sweep.

@@ -9,6 +9,7 @@
 #include "core/probability_model.h"
 #include "fm/fm_gains.h"
 #include "la/la_gains.h"
+#include "partition/kway_state.h"
 #include "partition/partition.h"
 
 namespace prop {
@@ -16,18 +17,32 @@ namespace {
 
 class Figure1 : public ::testing::Test {
  protected:
-  Figure1() : ex_(make_figure1_example()), part_(ex_.graph, ex_.side) {}
+  Figure1()
+      : ex_(make_figure1_example()),
+        part_(ex_.graph, ex_.side),
+        state_(part_) {}
 
+  /// The k = 2 calculator with the figure's first-iteration probabilities.
   ProbGainCalculator make_calc() const {
-    ProbGainCalculator calc(part_);
+    ProbGainCalculator calc(state_);
     for (NodeId u = 0; u < ex_.graph.num_nodes(); ++u) {
       calc.set_probability(u, ex_.initial_probability[u]);
     }
     return calc;
   }
 
+  /// Node k's (1-based) probabilistic gain for a move to the other side.
+  double gain(const ProbGainCalculator& calc, int k) const {
+    return calc.gain(ex_.node(k), 1 - state_.part(ex_.node(k)));
+  }
+  double net_gain(const ProbGainCalculator& calc, int k, int j) const {
+    return calc.net_gain(ex_.node(k), ex_.net(j),
+                         1 - state_.part(ex_.node(k)));
+  }
+
   Figure1Example ex_;
   Partition part_;
+  KWayState state_;
 };
 
 TEST_F(Figure1, NetlistShape) {
@@ -64,22 +79,22 @@ TEST_F(Figure1, La4StillCannotSeparate2From3) {
 TEST_F(Figure1, PropSecondIterationGains) {
   const ProbGainCalculator calc = make_calc();
   // Per-net pieces quoted in Sec. 3.3.
-  EXPECT_NEAR(calc.net_gain(ex_.node(1), ex_.net(1)), 1.0, 1e-12);
-  EXPECT_NEAR(calc.net_gain(ex_.node(1), ex_.net(2)), 1.0, 1e-12);
-  EXPECT_NEAR(calc.net_gain(ex_.node(1), ex_.net(9)), 0.0016, 1e-12);
-  EXPECT_NEAR(calc.net_gain(ex_.node(2), ex_.net(10)), 0.04, 1e-12);
-  EXPECT_NEAR(calc.net_gain(ex_.node(3), ex_.net(11)), 0.64, 1e-12);
+  EXPECT_NEAR(net_gain(calc, 1, 1), 1.0, 1e-12);
+  EXPECT_NEAR(net_gain(calc, 1, 2), 1.0, 1e-12);
+  EXPECT_NEAR(net_gain(calc, 1, 9), 0.0016, 1e-12);
+  EXPECT_NEAR(net_gain(calc, 2, 10), 0.04, 1e-12);
+  EXPECT_NEAR(net_gain(calc, 3, 11), 0.64, 1e-12);
 
   // Totals of Fig. 1c.
-  EXPECT_NEAR(calc.gain(ex_.node(1)), 2.0016, 1e-12);
-  EXPECT_NEAR(calc.gain(ex_.node(2)), 2.04, 1e-12);
-  EXPECT_NEAR(calc.gain(ex_.node(3)), 2.64, 1e-12);
-  EXPECT_NEAR(calc.gain(ex_.node(10)), 1.8, 1e-12);
-  EXPECT_NEAR(calc.gain(ex_.node(11)), 1.8, 1e-12);
-  EXPECT_NEAR(calc.gain(ex_.node(8)), -0.3, 1e-12);
-  EXPECT_NEAR(calc.gain(ex_.node(9)), -0.3, 1e-12);
+  EXPECT_NEAR(gain(calc, 1), 2.0016, 1e-12);
+  EXPECT_NEAR(gain(calc, 2), 2.04, 1e-12);
+  EXPECT_NEAR(gain(calc, 3), 2.64, 1e-12);
+  EXPECT_NEAR(gain(calc, 10), 1.8, 1e-12);
+  EXPECT_NEAR(gain(calc, 11), 1.8, 1e-12);
+  EXPECT_NEAR(gain(calc, 8), -0.3, 1e-12);
+  EXPECT_NEAR(gain(calc, 9), -0.3, 1e-12);
   for (int k = 4; k <= 7; ++k) {
-    EXPECT_NEAR(calc.gain(ex_.node(k)), -0.492, 1e-12) << "node " << k;
+    EXPECT_NEAR(gain(calc, k), -0.492, 1e-12) << "node " << k;
   }
 }
 
@@ -87,10 +102,10 @@ TEST_F(Figure1, PropRanksNode3First) {
   // The paper's punchline: PROP uniquely identifies node 3 as the best
   // move, which FM and LA cannot.
   const ProbGainCalculator calc = make_calc();
-  const double g3 = calc.gain(ex_.node(3));
+  const double g3 = gain(calc, 3);
   for (int k = 1; k <= 11; ++k) {
     if (k == 3) continue;
-    EXPECT_GT(g3, calc.gain(ex_.node(k))) << "node " << k;
+    EXPECT_GT(g3, gain(calc, k)) << "node " << k;
   }
 }
 
@@ -104,9 +119,9 @@ TEST_F(Figure1, ProbabilitiesFromGainsSaturateForTopNodes) {
   model.glo = -1.0;
   const ProbGainCalculator calc = make_calc();
   for (int k = 1; k <= 3; ++k) {
-    EXPECT_DOUBLE_EQ(model.from_gain(calc.gain(ex_.node(k))), 1.0);
+    EXPECT_DOUBLE_EQ(model.from_gain(gain(calc, k)), 1.0);
   }
-  EXPECT_LT(model.from_gain(calc.gain(ex_.node(4))), 1.0);
+  EXPECT_LT(model.from_gain(gain(calc, 4)), 1.0);
 }
 
 }  // namespace

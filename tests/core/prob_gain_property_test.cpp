@@ -1,11 +1,14 @@
 // Randomized property suite for the cached-product gain engine (DESIGN.md
 // Sec. 4f).  Drives thousands of random set_probability / lock / locked-move
 // operations — the exact mutation alphabet of a PROP pass — against a
-// ProbGainCalculator with a deliberately tiny renormalization epoch, and
-// checks the cache's contract at every step:
+// ProbGainCalculator with a deliberately tiny renormalization epoch, at
+// k = 2 (the paper's engine) and k = 4, and checks the cache's contract at
+// every step:
 //
-//   * gain(u) under kCached agrees with the scratch_gain(u) oracle within
-//     the drift bound at every sampled query;
+//   * gain(u, to) under kCached agrees with the scratch_gain(u, to) oracle
+//     within the drift bound at every sampled query;
+//   * summed for_each_net_gain emissions agree with scratch_gain(v, to)
+//     for every node and target;
 //   * max_product_drift() never exceeds kProductAuditTol between epochs;
 //   * renormalize_all() restores *bit-exact* agreement with an in-pin-order
 //     scratch recompute (max_product_drift() == 0.0, not merely small);
@@ -47,16 +50,32 @@ double random_probability(Rng& rng) {
   return 0.01 + 0.99 * rng.uniform();
 }
 
+/// k = 2: a random 45-55 bisection; k > 2: uniformly random part ids.
+KWayState random_state(const Hypergraph& g, NodeId k, Rng& rng) {
+  if (k == 2) {
+    return KWayState(Partition(
+        g, random_balanced_sides(g, BalanceConstraint::forty_five(g), rng)));
+  }
+  std::vector<NodeId> part(g.num_nodes());
+  for (auto& p : part) p = static_cast<NodeId>(rng.bounded(k));
+  return KWayState(g, std::move(part), k);
+}
+
+/// A uniformly random target part of u other than its own.
+NodeId random_target(const KWayState& state, NodeId u, Rng& rng) {
+  const NodeId i = static_cast<NodeId>(rng.bounded(state.k() - 1));
+  return i < state.part(u) ? i : i + 1;
+}
+
 /// Runs `ops` random mutations with periodic consistency checkpoints.
 /// Returns the number of oracle comparisons performed (so tests can assert
 /// the sequence actually exercised the query path).
 int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
-                 int renorm_interval) {
+                 int renorm_interval, NodeId k = 2) {
   const Hypergraph g = property_circuit(seed);
-  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
   Rng rng(mix_seed(seed, 77));
-  Partition part(g, random_balanced_sides(g, balance, rng));
-  ProbGainCalculator calc(part, engine, renorm_interval);
+  KWayState state = random_state(g, k, rng);
+  ProbGainCalculator calc(state, engine, renorm_interval);
 
   const NodeId n = g.num_nodes();
   const auto reinit = [&] {
@@ -81,11 +100,11 @@ int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
       if (calc.is_free(u)) calc.set_probability(u, random_probability(rng));
     } else if (r < 80) {
       if (calc.is_free(u)) {
-        // The pass engine's accepted-move protocol: lock, flip the
-        // partition, tell the calculator about the locked move.
-        const int from = part.side(u);
+        // The pass engine's accepted-move protocol: lock, move the node,
+        // tell the calculator about the locked move.
+        const NodeId from = state.part(u);
         calc.lock(u);
-        part.move(u);
+        state.move(u, random_target(state, u, rng));
         calc.move_locked(u, from);
         --free_count;
       }
@@ -97,13 +116,14 @@ int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
     } else {
       // Oracle comparison on a random node (locked nodes have gain too —
       // their probability is pinned at 0 but the query must still agree).
-      const double fast = calc.gain(u);
-      const double oracle = calc.scratch_gain(u);
+      const NodeId to = random_target(state, u, rng);
+      const double fast = calc.gain(u, to);
+      const double oracle = calc.scratch_gain(u, to);
       const double tol = ProbGainCalculator::kProductAuditTol *
                          static_cast<double>(g.degree(u) + 1);
       EXPECT_NEAR(fast, oracle, tol)
-          << "op " << op << " node " << u << " engine "
-          << to_string(engine);
+          << "op " << op << " node " << u << " -> " << to << " engine "
+          << to_string(engine) << " k " << k;
       ++comparisons;
     }
 
@@ -127,9 +147,66 @@ int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
 TEST(ProbGainProperty, CachedMatchesScratchOracleUnderRandomSequences) {
   // A tiny epoch (5) exercises renormalization hundreds of times per
   // sequence instead of hiding it behind the production default of 128.
-  for (const std::uint64_t seed : {11ULL, 23ULL, 47ULL}) {
-    const int comparisons = run_sequence(GainEngine::kCached, seed, 3500, 5);
-    EXPECT_GT(comparisons, 100) << "seed " << seed;
+  for (const NodeId k : {2u, 4u}) {
+    for (const std::uint64_t seed : {11ULL, 23ULL, 47ULL}) {
+      const int comparisons =
+          run_sequence(GainEngine::kCached, seed, 3500, 5, k);
+      EXPECT_GT(comparisons, 100) << "seed " << seed << " k " << k;
+    }
+  }
+}
+
+/// Summed per-net emissions are the total gain: for every node v and
+/// target to, the sum of for_each_net_gain's (v, to) emissions over v's
+/// nets matches scratch_gain(v, to), on a mid-pass state with locked pins
+/// in every part (so frozen pairs are skipped by the cached engine).
+TEST(ProbGainProperty, EmissionSumsMatchScratchGainAtK4) {
+  const NodeId k = 4;
+  const Hypergraph g = property_circuit(61);
+  for (const GainEngine engine :
+       {GainEngine::kCached, GainEngine::kScratch, GainEngine::kShadow}) {
+    Rng rng(mix_seed(61, 3));
+    KWayState state = random_state(g, k, rng);
+    ProbGainCalculator calc(state, engine, 5);
+    const NodeId n = g.num_nodes();
+    for (NodeId u = 0; u < n; ++u) {
+      calc.set_probability(u, random_probability(rng));
+    }
+    for (int i = 0; i < static_cast<int>(n) / 4; ++i) {
+      const NodeId u = static_cast<NodeId>(rng.bounded(n));
+      if (!calc.is_free(u)) continue;
+      const NodeId from = state.part(u);
+      calc.lock(u);
+      if (rng.chance(0.5)) state.move(u, random_target(state, u, rng));
+      calc.move_locked(u, from);
+    }
+
+    std::vector<double> sum(static_cast<std::size_t>(n) * k, 0.0);
+    for (NetId net = 0; net < g.num_nets(); ++net) {
+      NodeId last_v = kInvalidNode;
+      NodeId last_to = 0;
+      calc.for_each_net_gain(net, [&](NodeId v, NodeId to, double gain) {
+        ASSERT_TRUE(calc.is_free(v));
+        ASSERT_NE(to, state.part(v));
+        // Pins in pin order, targets ascending within a pin.
+        if (v == last_v) {
+          ASSERT_GT(to, last_to);
+        }
+        last_v = v;
+        last_to = to;
+        sum[static_cast<std::size_t>(v) * k + to] += gain;
+      });
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (!calc.is_free(v)) continue;
+      for (NodeId to = 0; to < k; ++to) {
+        if (to == state.part(v)) continue;
+        EXPECT_NEAR(sum[static_cast<std::size_t>(v) * k + to],
+                    calc.scratch_gain(v, to),
+                    ProbGainCalculator::kProductAuditTol)
+            << to_string(engine) << " node " << v << " -> " << to;
+      }
+    }
   }
 }
 
@@ -143,14 +220,14 @@ TEST(ProbGainProperty, ShadowCrossCheckNeverFires) {
   // answer drifts past kProductAuditTol from the scratch one, so simply
   // surviving the sequence is the assertion.
   EXPECT_NO_THROW(run_sequence(GainEngine::kShadow, 71, 3000, 5));
+  EXPECT_NO_THROW(run_sequence(GainEngine::kShadow, 73, 3000, 5, 4));
 }
 
 TEST(ProbGainProperty, RenormalizationIsBitExactAfterTinyProbabilityBursts) {
   const Hypergraph g = property_circuit(5);
-  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
   Rng rng(mix_seed(5, 13));
-  Partition part(g, random_balanced_sides(g, balance, rng));
-  ProbGainCalculator calc(part, GainEngine::kCached, 3);
+  const KWayState state = random_state(g, 2, rng);
+  ProbGainCalculator calc(state, GainEngine::kCached, 3);
   calc.reset();
   const NodeId n = g.num_nodes();
   // Drive every product toward the magnitude floor, then away from it:

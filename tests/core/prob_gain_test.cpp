@@ -1,3 +1,4 @@
+// ProbGainCalculator at k = 2 — the paper's 2-way engine (Eqns. 3-6).
 #include "core/prob_gain.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,15 @@
 namespace prop {
 namespace {
 
+/// The only target of a node at k = 2: the other side.
+NodeId other(const KWayState& state, NodeId u) { return 1 - state.part(u); }
+
+KWayState random_halves(const Hypergraph& g, Rng& rng) {
+  std::vector<NodeId> part(g.num_nodes());
+  for (auto& p : part) p = rng.chance(0.5) ? 1 : 0;
+  return KWayState(g, std::move(part), 2);
+}
+
 /// 4-node fixture: net A = {0, 1} internal to side 0; net B = {0, 2} cut;
 /// net C = {1, 2, 3} cut.
 struct Small {
@@ -19,49 +29,50 @@ struct Small {
     b.add_net({0, 2});
     b.add_net({1, 2, 3});
     g = std::move(b).build();
-    const std::vector<std::uint8_t> sides = {0, 0, 1, 1};
-    part.emplace(g, sides);
+    state.emplace(g, std::vector<NodeId>{0, 0, 1, 1}, 2);
   }
   Hypergraph g;
-  std::optional<Partition> part;
+  std::optional<KWayState> state;
 };
 
 TEST(ProbGain, CutNetEquation3) {
   Small f;
-  ProbGainCalculator calc(*f.part);
+  ProbGainCalculator calc(*f.state);
   calc.set_probability(0, 0.9);
   calc.set_probability(1, 0.6);
   calc.set_probability(2, 0.7);
   calc.set_probability(3, 0.5);
   // Net B = {0, 2}: g_B(0) = 1 * (empty product - p(2)) = 1 - 0.7... the
   // A-side product excluding u is empty = 1; B-side product = p(2) = 0.7.
-  EXPECT_NEAR(calc.net_gain(0, 1), 1.0 - 0.7, 1e-12);
+  EXPECT_NEAR(calc.net_gain(0, 1, 1), 1.0 - 0.7, 1e-12);
   // Net C = {1, 2, 3}, u = 1 (side 0): A-side others = {} -> 1; B-side
   // product = p(2) p(3) = 0.35.
-  EXPECT_NEAR(calc.net_gain(1, 2), 1.0 - 0.35, 1e-12);
+  EXPECT_NEAR(calc.net_gain(1, 2, 1), 1.0 - 0.35, 1e-12);
 }
 
 TEST(ProbGain, UncutNetEquation4) {
   Small f;
-  ProbGainCalculator calc(*f.part);
+  ProbGainCalculator calc(*f.state);
   calc.set_probability(0, 0.9);
   calc.set_probability(1, 0.6);
   calc.set_probability(2, 0.7);
   calc.set_probability(3, 0.5);
   // Net A = {0, 1} internal: g_A(0) = -(1 - p(1)) = -0.4.
-  EXPECT_NEAR(calc.net_gain(0, 0), -(1.0 - 0.6), 1e-12);
-  EXPECT_NEAR(calc.net_gain(1, 0), -(1.0 - 0.9), 1e-12);
+  EXPECT_NEAR(calc.net_gain(0, 0, 1), -(1.0 - 0.6), 1e-12);
+  EXPECT_NEAR(calc.net_gain(1, 0, 1), -(1.0 - 0.9), 1e-12);
 }
 
 TEST(ProbGain, TotalIsSumOfNetGains) {
   Small f;
-  ProbGainCalculator calc(*f.part);
+  ProbGainCalculator calc(*f.state);
   calc.set_probability(0, 0.9);
   calc.set_probability(1, 0.6);
   calc.set_probability(2, 0.7);
   calc.set_probability(3, 0.5);
-  EXPECT_NEAR(calc.gain(0), calc.net_gain(0, 0) + calc.net_gain(0, 1), 1e-12);
-  EXPECT_NEAR(calc.gain(1), calc.net_gain(1, 0) + calc.net_gain(1, 2), 1e-12);
+  EXPECT_NEAR(calc.gain(0, 1),
+              calc.net_gain(0, 0, 1) + calc.net_gain(0, 1, 1), 1e-12);
+  EXPECT_NEAR(calc.gain(1, 1),
+              calc.net_gain(1, 0, 1) + calc.net_gain(1, 2, 1), 1e-12);
 }
 
 TEST(ProbGain, AllProbabilitiesOneReducesToFmGain) {
@@ -73,72 +84,69 @@ TEST(ProbGain, AllProbabilitiesOneReducesToFmGain) {
   b.add_net({0, 1});  // cut, node 0 sole on side 0
   b.add_net({0, 2});  // cut
   const Hypergraph g = std::move(b).build();
-  const std::vector<std::uint8_t> sides = {0, 1, 1};
-  const Partition part(g, sides);
-  ProbGainCalculator calc(part);
+  const KWayState state(g, {0, 1, 1}, 2);
+  ProbGainCalculator calc(state);
   for (NodeId u = 0; u < 3; ++u) calc.set_probability(u, 1.0);
   // Each cut net: A-side others empty -> 1; B-side product = 1 -> gain 0
   // (moving u removes the net, but not moving it would also remove it).
-  EXPECT_NEAR(calc.net_gain(0, 0), 0.0, 1e-12);
+  EXPECT_NEAR(calc.net_gain(0, 0, 1), 0.0, 1e-12);
   // With p(other side) = 0 instead, the gain is the full +1.
   calc.set_probability(1, 0.0);
-  EXPECT_NEAR(calc.net_gain(0, 0), 1.0, 1e-12);
+  EXPECT_NEAR(calc.net_gain(0, 0, 1), 1.0, 1e-12);
 }
 
 TEST(ProbGain, LockedSameSideBlocksPositiveTerm) {
   Small f;
-  ProbGainCalculator calc(*f.part);
+  ProbGainCalculator calc(*f.state);
   for (NodeId u = 0; u < 4; ++u) calc.set_probability(u, 0.8);
   calc.lock(1);  // side 0, shares net A (internal) with 0
   // Net A = {0, 1} internal with 1 locked: moving 0 cuts it permanently.
-  EXPECT_NEAR(calc.net_gain(0, 0), -1.0, 1e-12);
+  EXPECT_NEAR(calc.net_gain(0, 0, 1), -1.0, 1e-12);
 }
 
 TEST(ProbGain, LockedOtherSideZeroesNegativeTerm) {
   Small f;
-  ProbGainCalculator calc(*f.part);
+  ProbGainCalculator calc(*f.state);
   for (NodeId u = 0; u < 4; ++u) calc.set_probability(u, 0.8);
   calc.lock(2);  // side 1, shares cut net B with 0
   // Eqn. 5 case: p(n^{2->1}) = 0, so g_B(0) = p-product of side-0 others = 1.
-  EXPECT_NEAR(calc.net_gain(0, 1), 1.0, 1e-12);
+  EXPECT_NEAR(calc.net_gain(0, 1, 1), 1.0, 1e-12);
   // Eqn. 6 case: for node 3 (side 1) on net C locked in side 1:
   // g_C(3) = -p(n^{1->2}) = -p(1).
-  EXPECT_NEAR(calc.net_gain(3, 2), -0.8, 1e-12);
+  EXPECT_NEAR(calc.net_gain(3, 2, 0), -0.8, 1e-12);
 }
 
 TEST(ProbGain, RemovalProbability) {
   Small f;
-  ProbGainCalculator calc(*f.part);
+  ProbGainCalculator calc(*f.state);
   calc.set_probability(0, 0.9);
   calc.set_probability(1, 0.6);
   calc.set_probability(2, 0.7);
   calc.set_probability(3, 0.5);
   // Net C = {1, 2, 3}: removal toward side 1 needs side-0 pins {1} to move.
-  EXPECT_NEAR(calc.removal_probability(2, 1), 0.6, 1e-12);
-  EXPECT_NEAR(calc.removal_probability(2, 0), 0.7 * 0.5, 1e-12);
+  EXPECT_NEAR(calc.removal_probability(2, 0), 0.6, 1e-12);
+  EXPECT_NEAR(calc.removal_probability(2, 1), 0.7 * 0.5, 1e-12);
   calc.lock(1);
-  EXPECT_NEAR(calc.removal_probability(2, 1), 0.0, 1e-12);
+  EXPECT_NEAR(calc.removal_probability(2, 0), 0.0, 1e-12);
 }
 
 TEST(ProbGain, MoveLockedKeepsCountsConsistent) {
   const Hypergraph g = testing::small_random_circuit(83);
   Rng rng(83);
-  std::vector<std::uint8_t> sides(g.num_nodes());
-  for (auto& s : sides) s = rng.chance(0.5) ? 1 : 0;
-  Partition part(g, sides);
-  ProbGainCalculator calc(part);
+  KWayState state = random_halves(g, rng);
+  ProbGainCalculator calc(state);
   for (NodeId u = 0; u < g.num_nodes(); ++u) calc.set_probability(u, 0.9);
 
   for (int i = 0; i < 20; ++i) {
     const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
     if (!calc.is_free(u)) continue;
-    const int from = part.side(u);
+    const NodeId from = state.part(u);
     calc.lock(u);
-    part.move(u);
+    state.move(u, 1 - from);
     calc.move_locked(u, from);
   }
   // A fresh calculator with the same lock set must agree on every gain.
-  ProbGainCalculator fresh(part);
+  ProbGainCalculator fresh(state);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (calc.is_free(u)) {
       fresh.set_probability(u, 0.9);
@@ -151,7 +159,8 @@ TEST(ProbGain, MoveLockedKeepsCountsConsistent) {
   }
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (calc.is_free(u)) {
-      EXPECT_NEAR(calc.gain(u), fresh.gain(u), 1e-9) << "node " << u;
+      const NodeId to = other(state, u);
+      EXPECT_NEAR(calc.gain(u, to), fresh.gain(u, to), 1e-9) << "node " << u;
     }
   }
 }
@@ -162,10 +171,8 @@ TEST(ProbGain, MoveLockedKeepsCountsConsistent) {
 TEST(ProbGain, EmissionMatchesReferenceNetGain) {
   const Hypergraph g = testing::small_random_circuit(87);
   Rng rng(87);
-  std::vector<std::uint8_t> sides(g.num_nodes());
-  for (auto& s : sides) s = rng.chance(0.5) ? 1 : 0;
-  Partition part(g, sides);
-  ProbGainCalculator calc(part);
+  KWayState state = random_halves(g, rng);
+  ProbGainCalculator calc(state);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     calc.set_probability(u, 0.4 + 0.55 * rng.uniform());
   }
@@ -173,16 +180,17 @@ TEST(ProbGain, EmissionMatchesReferenceNetGain) {
   for (int i = 0; i < 15; ++i) {
     const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
     if (!calc.is_free(u)) continue;
-    const int from = part.side(u);
+    const NodeId from = state.part(u);
     calc.lock(u);
-    part.move(u);
+    state.move(u, 1 - from);
     calc.move_locked(u, from);
   }
 
   for (NetId n = 0; n < g.num_nets(); ++n) {
-    calc.for_each_net_gain(n, [&](NodeId v, double gain) {
+    calc.for_each_net_gain(n, [&](NodeId v, NodeId to, double gain) {
       ASSERT_TRUE(calc.is_free(v));
-      EXPECT_NEAR(gain, calc.net_gain(v, n), 1e-9)
+      ASSERT_EQ(to, other(state, v));
+      EXPECT_NEAR(gain, calc.net_gain(v, n, to), 1e-9)
           << "net " << n << " pin " << v;
     });
   }
@@ -192,25 +200,24 @@ TEST(ProbGain, EmissionMatchesReferenceNetGain) {
 TEST(ProbGain, EmissionSumsToTotalGain) {
   const Hypergraph g = testing::small_random_circuit(89);
   Rng rng(89);
-  std::vector<std::uint8_t> sides(g.num_nodes());
-  for (auto& s : sides) s = rng.chance(0.5) ? 1 : 0;
-  const Partition part(g, sides);
-  ProbGainCalculator calc(part);
+  const KWayState state = random_halves(g, rng);
+  ProbGainCalculator calc(state);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     calc.set_probability(u, 0.4 + 0.55 * rng.uniform());
   }
   std::vector<double> sum(g.num_nodes(), 0.0);
   for (NetId n = 0; n < g.num_nets(); ++n) {
-    calc.for_each_net_gain(n, [&](NodeId v, double gain) { sum[v] += gain; });
+    calc.for_each_net_gain(
+        n, [&](NodeId v, NodeId, double gain) { sum[v] += gain; });
   }
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_NEAR(sum[u], calc.gain(u), 1e-9) << "node " << u;
+    EXPECT_NEAR(sum[u], calc.gain(u, other(state, u)), 1e-9) << "node " << u;
   }
 }
 
 TEST(ProbGain, GuardsAgainstMisuse) {
   Small f;
-  ProbGainCalculator calc(*f.part);
+  ProbGainCalculator calc(*f.state);
   EXPECT_THROW(calc.set_probability(0, 1.5), std::invalid_argument);
   calc.lock(0);
   EXPECT_THROW(calc.lock(0), std::logic_error);

@@ -89,6 +89,49 @@ TEST(GoldenOutput, FlatPropFortyFive) {
   }
 }
 
+/// PropConfig variants that take other paths through the 2-way pass engine:
+/// the scratch and shadow gain engines (node-major bootstrap, full
+/// emission), the deterministic-gain bootstrap, and the audit/resync chain.
+TEST(GoldenOutput, FlatPropConfigVariants) {
+  struct Case {
+    const char* label;
+    PropConfig config;
+    Golden want;
+  };
+  PropConfig scratch;
+  scratch.gain_engine = GainEngine::kScratch;
+  PropConfig shadow;
+  shadow.gain_engine = GainEngine::kShadow;
+  PropConfig gain_bootstrap;
+  gain_bootstrap.bootstrap = PropBootstrap::kDeterministicGain;
+  PropConfig audited;
+  audited.audit_interval = 40;
+  audited.resync_interval = 60;
+  const Case cases[] = {
+      {"scratch", scratch, {0x1c0e0c5e6df5715dULL, 0xcad8b8ceceef910cULL}},
+      {"shadow", shadow, {0x1c0e0c5e6df5715dULL, 0xcad8b8ceceef910cULL}},
+      {"gain-bootstrap",
+       gain_bootstrap,
+       {0x17e3120c619dc9f4ULL, 0xbe627cf4603263ceULL}},
+      {"audit-resync", audited, {0x6fc0753fa1d10c42ULL, 0xae2904622b1f90f9ULL}},
+  };
+  const Hypergraph g = make_mcnc_circuit("balu");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    PropPartitioner algo(c.config);
+    expect_golden(algo, g, 1, c.want);
+  }
+}
+
+TEST(GoldenOutput, MultilevelFmSynthetic) {
+  const Hypergraph g =
+      generate_circuit(scaled_spec("synth10000", 10000), kSuiteSeed);
+  MultilevelConfig config;
+  config.refiner = MlRefiner::kFm;
+  MultilevelPartitioner algo(config);
+  expect_golden(algo, g, 1, {0x4eab429c8c360c3aULL, 0x7ebbf2bb16105ba5ULL});
+}
+
 TEST(GoldenOutput, MultilevelPropSynthetic) {
   const Hypergraph g =
       generate_circuit(scaled_spec("synth10000", 10000), kSuiteSeed);

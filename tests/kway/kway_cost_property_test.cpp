@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "hypergraph/builder.h"
-#include "kway/kway_state.h"
+#include "partition/kway_state.h"
 #include "partition/recursive.h"
 #include "testutil.h"
 #include "util/rng.h"

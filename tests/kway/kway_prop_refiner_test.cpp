@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "kway/kway_refine.h"
-#include "kway/kway_state.h"
+#include "partition/kway_state.h"
 #include "partition/kway_balance.h"
 #include "runtime/run_context.h"
 #include "telemetry/telemetry.h"

@@ -157,15 +157,15 @@ TEST(InvariantAudit, PropResyncKeepsResultsValidAndMeasuresDrift) {
 
 TEST(InvariantAudit, ProbGainAuditorDetectsDesyncedLockCounts) {
   const Hypergraph g = testing::chain_of_blocks(3, 4);
-  Partition part(g);
-  ProbGainCalculator calc(part);
+  KWayState state{Partition(g)};
+  ProbGainCalculator calc(state);
   for (NodeId u = 0; u < g.num_nodes(); ++u) calc.set_probability(u, 0.5);
   EXPECT_NO_THROW(calc.audit_consistency());
   calc.lock(0);
   EXPECT_NO_THROW(calc.audit_consistency());
-  // Moving the partition without telling the calculator desyncs the
-  // per-(net, side) locked-pin table — the auditor must notice.
-  part.move(0);
+  // Moving the node without telling the calculator desyncs the
+  // per-(net, part) locked-pin table — the auditor must notice.
+  state.move(0, 1);
   EXPECT_THROW(calc.audit_consistency(), std::logic_error);
 }
 

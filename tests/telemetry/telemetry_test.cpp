@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <thread>
 
 #include "core/prop_partitioner.h"
 #include "fm/fm_partitioner.h"
@@ -10,8 +12,10 @@
 #include "partition/initial.h"
 #include "partition/runner.h"
 #include "spectral/eig1.h"
+#include "hypergraph/mcnc_suite.h"
 #include "testutil.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace prop {
 namespace {
@@ -122,6 +126,59 @@ TEST(RefineTelemetry, PropPassTrajectoryIsConsistent) {
         return prop_refine(p, b, c);
       },
       PropConfig{});
+}
+
+/// Per-pass cpu_seconds is the calling thread's CPU time: a sibling thread
+/// burning CPU during the refine (as under --threads N or prop_serve
+/// --workers N) must not be charged to the passes.  Their sum can then
+/// never exceed the thread CPU time of the whole call.
+template <typename Refine>
+void expect_pass_cpu_excludes_sibling(const Refine& refine) {
+  const Hypergraph g = make_mcnc_circuit("p2");
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  Rng rng(5);
+  Partition part(g, random_balanced_sides(g, balance, rng));
+  RefineTelemetry telemetry;
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::thread sibling([&] {
+    started = true;
+    volatile std::uint64_t spin = 0;
+    while (!stop.load(std::memory_order_relaxed)) spin = spin + 1;
+  });
+  while (!started) std::this_thread::yield();
+  const ThreadCpuTimer call;
+  refine(part, balance, &telemetry);
+  const double call_cpu = call.seconds();
+  stop = true;
+  sibling.join();
+
+  ASSERT_FALSE(telemetry.passes.empty());
+  double passes_cpu = 0.0;
+  for (const PassStats& s : telemetry.passes) passes_cpu += s.cpu_seconds;
+  EXPECT_LE(passes_cpu, call_cpu + 0.005);
+}
+
+TEST(RefineTelemetry, PassCpuSecondsExcludeSiblingThreads) {
+  expect_pass_cpu_excludes_sibling(
+      [](Partition& p, const BalanceConstraint& b, RefineTelemetry* t) {
+        PropConfig config;
+        config.telemetry = t;
+        prop_refine(p, b, config);
+      });
+  expect_pass_cpu_excludes_sibling(
+      [](Partition& p, const BalanceConstraint& b, RefineTelemetry* t) {
+        FmConfig config;
+        config.telemetry = t;
+        fm_refine(p, b, config);
+      });
+  expect_pass_cpu_excludes_sibling(
+      [](Partition& p, const BalanceConstraint& b, RefineTelemetry* t) {
+        LaConfig config;
+        config.telemetry = t;
+        la_refine(p, b, config);
+      });
 }
 
 TEST(RefineTelemetry, DisabledPointerRecordsNothingAndMatchesResult) {
