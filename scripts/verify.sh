@@ -64,6 +64,11 @@ ctest --preset asan-ubsan -j "$jobs" \
 echo "== gain-engine shadow smoke (asan+ubsan) =="
 ./build-asan/tools/prop_cli --circuit t4 --algo prop --gain-engine=shadow \
   --runs 1 > /dev/null
+# The same at k = 8: every k-way gain read goes through the all-targets
+# ProbGainCalculator::gains kernel, whose shadow path cross-checks the fused
+# cached totals of all seven targets against scratch on every query.
+./build-asan/tools/prop_cli --circuit p1 --algo prop --k 8 \
+  --gain-engine=shadow --runs 1 > /dev/null
 
 echo "== budgeted-run smoke (asan+ubsan) =="
 ./build-asan/tools/prop_cli --circuit t4 --algo prop --runs 3 \

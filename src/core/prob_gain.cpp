@@ -1,5 +1,6 @@
 #include "core/prob_gain.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -211,25 +212,35 @@ double ProbGainCalculator::scratch_gain(NodeId u, NodeId to) const {
 }
 
 double ProbGainCalculator::cached_gain(NodeId u, NodeId to) const {
-  const KWayState& state = *state_;
-  const Hypergraph& g = state.graph();
-  const NodeId a = state.part(u);
+  const NodeId a = state_->part(u);
   double total = 0.0;
-  for (const NetId n : g.nets_of(u)) {
-    const bool a_blocked = part_locked(n, a);
-    // Frozen pair (locked pins in both the source and target part): both
-    // removal products are 0 — contributes exactly nothing.
-    if (a_blocked && part_locked(n, to)) continue;
-    const double c = g.net_cost(n);
-    const double prod_a_excl = excl_product(
-        a_blocked, zero_free_[slot(n, a)], prod_[slot(n, a)], u, true);
-    if (state.pins_in(n, to) > 0) {
-      total += c * (prod_a_excl - cached_part_product(n, to));
-    } else {
-      total += -c * (1.0 - prod_a_excl);
-    }
+  for (const NetId n : state_->graph().nets_of(u)) {
+    add_cached_term(n, to, cached_source(n, a, u), total);
   }
   return total;
+}
+
+void ProbGainCalculator::cached_gains(NodeId u, double* out) const {
+  const NodeId a = state_->part(u);
+  std::fill_n(out, k_, 0.0);
+  // Same terms in the same nets_of(u) order as cached_gain, per target.
+  for (const NetId n : state_->graph().nets_of(u)) {
+    const SourceTerm src = cached_source(n, a, u);
+    for (NodeId i = 0; i + 1 < k_; ++i) {
+      const NodeId to = target(a, i);
+      add_cached_term(n, to, src, out[to]);
+    }
+  }
+}
+
+void ProbGainCalculator::check_shadow(NodeId u, NodeId to, double cached,
+                                      double scratch) {
+  if (!(std::abs(cached - scratch) <= kProductAuditTol)) {
+    std::ostringstream msg;
+    msg << "prob gain shadow: gain diverged (node " << u << " to " << to
+        << "): cached " << cached << " vs scratch " << scratch;
+    throw std::logic_error(msg.str());
+  }
 }
 
 double ProbGainCalculator::gain(NodeId u, NodeId to) const {
@@ -244,14 +255,27 @@ double ProbGainCalculator::gain(NodeId u, NodeId to) const {
   // Shadow: answer from scratch so the trajectory is identical to the
   // scratch engine's, but cross-check the cache on every query.
   const double scratch = scratch_gain(u, to);
-  const double cached = cached_gain(u, to);
-  if (!(std::abs(cached - scratch) <= kProductAuditTol)) {
-    std::ostringstream msg;
-    msg << "prob gain shadow: gain diverged (node " << u << " to " << to
-        << "): cached " << cached << " vs scratch " << scratch;
-    throw std::logic_error(msg.str());
-  }
+  check_shadow(u, to, cached_gain(u, to), scratch);
   return scratch;
+}
+
+void ProbGainCalculator::gains(NodeId u, double* out) const {
+  if (engine_ == GainEngine::kScratch) {
+    std::fill_n(out, k_, 0.0);
+  } else {
+    cached_gains(u, out);
+    if (engine_ == GainEngine::kCached) return;
+  }
+  // Scratch answers; shadow first cross-checks the fused cached totals.
+  const NodeId a = state_->part(u);
+  for (NodeId i = 0; i + 1 < k_; ++i) {
+    const NodeId to = target(a, i);
+    const double scratch = scratch_gain(u, to);
+    if (engine_ == GainEngine::kShadow) {
+      check_shadow(u, to, out[to], scratch);
+    }
+    out[to] = scratch;
+  }
 }
 
 double ProbGainCalculator::max_product_drift() const {

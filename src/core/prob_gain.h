@@ -24,14 +24,15 @@
 //     pins of net n in part p with p(v) != 0, plus a zero-factor counter
 //     and a cached reciprocal 1/p(v) per node, updated in O(1) per
 //     set_probability / lock by multiplication (no divisions on the hot
-//     path).  gain(u, to) is then O(degree(u)) and for_each_net_gain is
-//     O(|n| * (k - 1)) with no per-call product pass; (v, to) pairs whose
-//     source and target part both hold a locked pin contribute exactly
-//     zero and are skipped.  Floating-point drift from the incremental
-//     updates is bounded by epoch renormalization: after kRenormInterval
-//     updates of a (net, part) slot — or whenever its product leaves
-//     [kRenormMagLo, kRenormMagHi] or stops being finite — the product is
-//     recomputed exactly from the pins.
+//     path).  gain(u, to) is then O(degree(u)), gains(u, out) serves all
+//     k - 1 targets in one O(degree(u)) walk over u's nets, and
+//     for_each_net_gain is O(|n| * (k - 1)) with no per-call product
+//     pass; (v, to) pairs whose source and target part both hold a locked
+//     pin contribute exactly zero and are skipped.  Floating-point drift
+//     from the incremental updates is bounded by epoch renormalization:
+//     after kRenormInterval updates of a (net, part) slot — or whenever
+//     its product leaves [kRenormMagLo, kRenormMagHi] or stops being
+//     finite — the product is recomputed exactly from the pins.
 //   * kScratch: recomputes every product on demand by iterating the net's
 //     pins.  O(degree * netsize) per gain query and drift-free; kept
 //     compiled-in as the audit oracle (audit_consistency, tests, the
@@ -121,6 +122,19 @@ class ProbGainCalculator {
   /// (std::logic_error otherwise).
   double gain(NodeId u, NodeId to) const;
 
+  /// All-targets gain kernel: fills out[to] with gain(u, to) for every
+  /// to != part(u), and out[part(u)] with 0; `out` must hold k entries.
+  /// Each out[to] is bit-identical to gain(u, to) in every engine.  The
+  /// cached engine makes ONE walk over u's nets: each net's source-part
+  /// term is computed once, and a target part's cached slot is read only
+  /// when the net has a pin in that part — a part with no pin holds no
+  /// locked pin, so it takes the net's hoisted Eqn. 4 term.  That is
+  /// O(degree(u)) net visits (O(degree(u) * k) pin-count reads) instead of
+  /// k - 1 separate gain() walks.  kScratch returns scratch_gain(u, to) per
+  /// target; kShadow returns the scratch answers after cross-checking the
+  /// fused cached totals (std::logic_error past kProductAuditTol).
+  void gains(NodeId u, double* out) const;
+
   /// Gain restricted to one net, always computed from scratch by explicit
   /// pin iteration — the reference oracle for tests, the Figure 1
   /// walkthrough and the property suite.
@@ -180,15 +194,20 @@ class ProbGainCalculator {
       if (locked_[v]) continue;
       const NodeId a = state.part(v);
       const bool a_blocked = part_locked(n, a);
-      const double prod_a_excl = excl_product(
-          a_blocked, emit_zeros_[a], emit_prod_[a], v, cached);
+      const SourceTerm src(c, a_blocked,
+                           excl_product(a_blocked, emit_zeros_[a],
+                                        emit_prod_[a], v, cached));
       for (NodeId i = 0; i + 1 < k_; ++i) {
         const NodeId to = target(a, i);
         const bool to_blocked = part_locked(n, to);
         if (cached && a_blocked && to_blocked) continue;
+        if (state.pins_in(n, to) == 0) {
+          emit(v, to, src.no_pin);
+          continue;
+        }
         const double prod_to =
             (to_blocked || emit_zeros_[to] > 0) ? 0.0 : emit_prod_[to];
-        emit(v, to, term(n, to, c, prod_a_excl, prod_to));
+        emit(v, to, src.touched(prod_to));
       }
     }
   }
@@ -258,17 +277,65 @@ class ProbGainCalculator {
     return cached ? prod * recip_[v] : prod / p_[v];
   }
 
-  /// g_n(v -> to) from v's excluded source product and the target's
-  /// removal product.
-  double term(NetId n, NodeId to, double c, double prod_a_excl,
-              double prod_to) const noexcept {
-    if (state_->pins_in(n, to) > 0) return c * (prod_a_excl - prod_to);
-    return -c * (1.0 - prod_a_excl);
+  /// The source-part half of g_n(v -> to) for a free pin v of net n in
+  /// part a, shared by every target: the net cost, whether a holds a
+  /// locked pin, v's excluded removal product of a, and the whole term of
+  /// a target the net has no pin in (generalized Eqn. 4: moving v spreads
+  /// the net into a new part, and it stays spread unless everyone else in
+  /// a follows).
+  struct SourceTerm {
+    SourceTerm(double cost, bool a_blocked, double prod_a_excl) noexcept
+        : c(cost),
+          excl(prod_a_excl),
+          no_pin(-cost * (1.0 - prod_a_excl)),
+          blocked(a_blocked) {}
+
+    /// g_n(v -> to) for a target the net already touches, given its removal
+    /// product (generalized Eqn. 3: moving v helps complete the a -> to
+    /// evacuation and precludes the to -> a one).
+    double touched(double prod_to) const noexcept {
+      return c * (excl - prod_to);
+    }
+
+    double c;
+    double excl;
+    double no_pin;
+    bool blocked;
+  };
+
+  /// SourceTerm of free node u (in part a) on net n from the cache.
+  SourceTerm cached_source(NetId n, NodeId a, NodeId u) const noexcept {
+    const bool blocked = part_locked(n, a);
+    return SourceTerm(
+        state_->graph().net_cost(n), blocked,
+        excl_product(blocked, zero_free_[slot(n, a)], prod_[slot(n, a)], u,
+                     true));
+  }
+
+  /// Adds the cached g_n(u -> to) to `total`; the target's slot is read
+  /// only when the net has a pin in `to`, and a frozen pair (locked pins in
+  /// both the source and the target part: both removal products are 0)
+  /// adds nothing.  The one per-net term of cached_gain and gains().
+  void add_cached_term(NetId n, NodeId to, const SourceTerm& src,
+                       double& total) const noexcept {
+    if (state_->pins_in(n, to) == 0) {
+      total += src.no_pin;
+    } else if (!(src.blocked && part_locked(n, to))) {
+      total += src.touched(cached_part_product(n, to));
+    }
   }
 
   /// gain(u, to) computed from the cached products — the kCached fast
   /// path, and the value kShadow cross-checks against the scratch answer.
   double cached_gain(NodeId u, NodeId to) const;
+
+  /// The fused all-targets form of cached_gain (see gains()).
+  void cached_gains(NodeId u, double* out) const;
+
+  /// kShadow's per-query cross-check: throws std::logic_error when the
+  /// cached answer is farther than kProductAuditTol from the scratch one.
+  static void check_shadow(NodeId u, NodeId to, double cached,
+                           double scratch);
 
   /// Applies one factor change old_p -> new_p to the (net, part) slot —
   /// old_r is the cached reciprocal of old_p, so the removal is a multiply

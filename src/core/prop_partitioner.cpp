@@ -39,8 +39,10 @@ PropRefiner::PropRefiner(Partition& part, const BalanceConstraint& balance,
       visit_stamp_(part.graph().num_nodes(), 0) {
   moved_.reserve(part.graph().num_nodes());
   to_refresh_.reserve(part.graph().num_nodes());
-  sort_scratch_[0].reserve(part.graph().num_nodes());
-  sort_scratch_[1].reserve(part.graph().num_nodes());
+  for (int s = 0; s < 2; ++s) {
+    sort_scratch_[s].reserve(part.graph().num_nodes());
+    by_size_[s].reserve(part.graph().num_nodes());
+  }
 }
 
 /// Steps 3-4 of Fig. 2: bootstrap probabilities, then iterate
@@ -202,9 +204,29 @@ double PropRefiner::run_pass(PassStats* stats) {
   std::size_t best_count = 0;
 
   // With unit node sizes feasibility is uniform per side, so it is checked
-  // once instead of walking the tree past every infeasible node.
+  // once instead of walking the tree past every infeasible node.  With
+  // non-unit sizes a move out of side 0 needs size <= s0 - lo and one out
+  // of side 1 size <= hi - s0; when even the side's smallest free node is
+  // larger, no node is feasible and the walk is skipped.  Free nodes only
+  // leave a side during a pass, so a pass-start size-ordered list with a
+  // cursor past the locked prefix gives that minimum in amortized O(1).
   const bool unit_sizes = g.unit_node_sizes();
   const BalanceConstraint& balance = *balance_;
+  if (!unit_sizes) {
+    for (int s = 0; s < 2; ++s) {
+      by_size_[s].clear();
+      for (const auto& staged : sort_scratch_[s]) {
+        by_size_[s].push_back(staged.second);
+      }
+      std::sort(by_size_[s].begin(), by_size_[s].end(),
+                [&](NodeId a, NodeId b) {
+                  return g.node_size(a) != g.node_size(b)
+                             ? g.node_size(a) < g.node_size(b)
+                             : a < b;
+                });
+    }
+  }
+  std::size_t size_cursor[2] = {0, 0};
   const auto best_feasible = [&](GainTree& tree, int side) {
     if (tree.empty()) return GainTree::kNull;
     if (unit_sizes) {
@@ -213,6 +235,13 @@ double PropRefiner::run_pass(PassStats* stats) {
       }
       return tree.max();
     }
+    // The tree is non-empty, so the side still has a free node.
+    const std::vector<NodeId>& order = by_size_[side];
+    std::size_t& cursor = size_cursor[side];
+    while (!calc_.is_free(order[cursor])) ++cursor;
+    const std::int64_t s0 = state.part_size(0);
+    const std::int64_t room = side == 0 ? s0 - balance.lo() : balance.hi() - s0;
+    if (g.node_size(order[cursor]) > room) return GainTree::kNull;
     GainTree::Handle found = GainTree::kNull;
     tree.for_each_descending([&](GainTree::Handle h, double) {
       if (balance.move_feasible(state.part_size(0), side, g.node_size(h))) {

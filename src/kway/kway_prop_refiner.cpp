@@ -41,6 +41,7 @@ class PassEngine {
         calc_(state, config.gain_engine, config.renorm_interval),
         tree_(g.num_nodes()),
         gains_(g.num_nodes()),
+        target_gains_(state.k()),
         stamp_(g.num_nodes(), 0) {
     moved_.reserve(g.num_nodes());
     sort_scratch_.reserve(g.num_nodes());
@@ -135,14 +136,16 @@ class PassEngine {
 
   /// Best probabilistic move of u: max gain over the k - 1 targets, lowest
   /// part id winning ties (deterministic).  Feasibility is NOT checked here
-  /// — the selection walk re-checks it and falls back live.
-  KWayGainEntry best_entry(NodeId u) const {
+  /// — the selection walk re-checks it and falls back live.  One gains()
+  /// walk over u's nets serves all targets.
+  KWayGainEntry best_entry(NodeId u) {
+    calc_.gains(u, target_gains_.data());
     const NodeId from = state_.part(u);
     KWayGainEntry e{0.0, from};
     bool first = true;
     for (NodeId to = 0; to < state_.k(); ++to) {
       if (to == from) continue;
-      const double gain = calc_.gain(u, to);
+      const double gain = target_gains_[to];
       if (first || gain > e.gain + kGainEps) {
         e.gain = gain;
         e.target = to;
@@ -152,12 +155,13 @@ class PassEngine {
     return e;
   }
 
-  NodeId best_feasible_target(NodeId u, NodeId from, std::int64_t sz) const {
+  NodeId best_feasible_target(NodeId u, NodeId from, std::int64_t sz) {
+    calc_.gains(u, target_gains_.data());
     NodeId best = from;
     double best_gain = 0.0;
     for (NodeId to = 0; to < state_.k(); ++to) {
       if (to == from || state_.part_size(to) + sz > window_.hi) continue;
-      const double gain = calc_.gain(u, to);
+      const double gain = target_gains_[to];
       if (best == from || gain > best_gain + kGainEps) {
         best = to;
         best_gain = gain;
@@ -258,6 +262,7 @@ class PassEngine {
   ProbGainCalculator calc_;
   GainTree tree_;
   std::vector<double> gains_;
+  std::vector<double> target_gains_;  // gains() output, one slot per part
   std::vector<std::uint32_t> stamp_;
   std::uint32_t stamp_value_ = 0;
   std::vector<MoveRecord> moved_;

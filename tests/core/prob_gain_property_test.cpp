@@ -14,6 +14,8 @@
 //     scratch recompute (max_product_drift() == 0.0, not merely small);
 //   * audit_consistency() (zero counters, reciprocals, locked-pin table)
 //     holds at every checkpoint;
+//   * the all-targets gains() kernel is bit-identical to gain() for every
+//     node and target, and its kShadow path never trips;
 //   * kShadow sequences never trip the per-query cross-check;
 //   * the full PROP pass loop stays consistent when the prop-drift fault
 //     site forces emergency resyncs mid-pass.
@@ -21,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/prop_partitioner.h"
@@ -67,11 +71,34 @@ NodeId random_target(const KWayState& state, NodeId u, Rng& rng) {
   return i < state.part(u) ? i : i + 1;
 }
 
-/// Runs `ops` random mutations with periodic consistency checkpoints.
+/// The all-targets kernel against the per-target query, bitwise: for every
+/// node (locked ones included) gains(u, out) must give out[to] ==
+/// gain(u, to) bit for bit for every target and 0 for u's own part.
+/// Reports the first mismatch only.
+void expect_kernel_matches_gain(const ProbGainCalculator& calc,
+                                const KWayState& state, int op) {
+  std::vector<double> out(state.k());
+  for (NodeId u = 0; u < state.graph().num_nodes(); ++u) {
+    calc.gains(u, out.data());
+    for (NodeId to = 0; to < state.k(); ++to) {
+      const double want = to == state.part(u) ? 0.0 : calc.gain(u, to);
+      const auto got_bits = std::bit_cast<std::uint64_t>(out[to]);
+      const auto want_bits = std::bit_cast<std::uint64_t>(want);
+      EXPECT_EQ(got_bits, want_bits)
+          << "op " << op << " node " << u << " -> " << to << ": " << out[to]
+          << " vs " << want << " engine " << to_string(calc.engine())
+          << " k " << state.k();
+      if (got_bits != want_bits) return;
+    }
+  }
+}
+
+/// Runs `ops` random mutations with periodic consistency checkpoints, and
+/// every `kernel_every` ops (0: never) the gains() kernel check above.
 /// Returns the number of oracle comparisons performed (so tests can assert
 /// the sequence actually exercised the query path).
 int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
-                 int renorm_interval, NodeId k = 2) {
+                 int renorm_interval, NodeId k = 2, int kernel_every = 0) {
   const Hypergraph g = property_circuit(seed);
   Rng rng(mix_seed(seed, 77));
   KWayState state = random_state(g, k, rng);
@@ -127,6 +154,9 @@ int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
       ++comparisons;
     }
 
+    if (kernel_every > 0 && (op + 1) % kernel_every == 0) {
+      expect_kernel_matches_gain(calc, state, op);
+    }
     if ((op + 1) % 512 == 0) {
       EXPECT_NO_THROW(calc.audit_consistency()) << "op " << op;
       EXPECT_LE(calc.max_product_drift(),
@@ -208,6 +238,25 @@ TEST(ProbGainProperty, EmissionSumsMatchScratchGainAtK4) {
       }
     }
   }
+}
+
+/// gains() is the one gain read of the k-way refiner, so it must not move
+/// a single decision: bit-identical to gain() under random sequences, at
+/// the paper's k = 2 and at k = 3, 4 and 8, for both answering engines.
+TEST(ProbGainProperty, GainsKernelIsBitIdenticalToGain) {
+  for (const NodeId k : {2u, 3u, 4u, 8u}) {
+    for (const GainEngine engine :
+         {GainEngine::kCached, GainEngine::kScratch}) {
+      SCOPED_TRACE(testing::Message() << to_string(engine) << " k " << k);
+      run_sequence(engine, 31 + k, 2000, 5, k, 100);
+    }
+  }
+}
+
+/// The kernel's kShadow path cross-checks the fused cached totals of all
+/// k - 1 targets against scratch; surviving the sequence is the assertion.
+TEST(ProbGainProperty, GainsKernelShadowCrossCheckNeverFiresAtK8) {
+  EXPECT_NO_THROW(run_sequence(GainEngine::kShadow, 89, 2000, 5, 8, 100));
 }
 
 TEST(ProbGainProperty, CachedHoldsAtProductionEpochLength) {

@@ -9,17 +9,25 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/prop_partitioner.h"
 #include "hypergraph/generator.h"
 #include "hypergraph/mcnc_suite.h"
+#include "kway/kway_prop_refiner.h"
+#include "kway/kway_refine.h"
+#include "multilevel/coarsening.h"
 #include "multilevel/multilevel_driver.h"
 #include "multilevel/multilevel_kway.h"
+#include "partition/kway_balance.h"
 #include "partition/runner.h"
 #include "service/algo_factory.h"
+#include "telemetry/telemetry.h"
+#include "util/rng.h"
 
 namespace prop {
 namespace {
@@ -120,6 +128,83 @@ TEST(GoldenOutput, FlatPropConfigVariants) {
     SCOPED_TRACE(c.label);
     PropPartitioner algo(c.config);
     expect_golden(algo, g, 1, c.want);
+  }
+}
+
+/// Flat 2-way PROP at 45-55 on a graph with non-unit node sizes (the first
+/// contracted level of synth10000), where side selection walks the gain
+/// trees past balance-infeasible nodes instead of taking the maximum.
+TEST(GoldenOutput, FlatPropWeightedNodes) {
+  const Hypergraph fine =
+      generate_circuit(scaled_spec("synth10000", 10000), kSuiteSeed);
+  const std::deque<CoarseLevel> levels =
+      coarsen(fine, 1, CoarseningConfig{}, 2, nullptr);
+  ASSERT_FALSE(levels.empty());
+  const Hypergraph& g = levels.front().graph;
+  ASSERT_FALSE(g.unit_node_sizes());
+  PropPartitioner algo;
+  expect_golden(algo, g, 1, {0x7db737cda36921aeULL, 0x00c32e361e81beb0ULL});
+}
+
+/// kway_prop_refine called directly, from a greedy-legalized random start
+/// on p1: digests the returned parts and the outcome plus the timing-free
+/// pass telemetry, for each gain engine at k = 3 and k = 8.
+TEST(GoldenOutput, KWayPropRefineEngines) {
+  struct Case {
+    const char* label;
+    NodeId k;
+    GainEngine engine;
+    KWayObjective objective;
+    Golden want;
+  };
+  const Case cases[] = {
+      {"k3-cached-cut", 3, GainEngine::kCached, KWayObjective::kCut,
+       {0x96685943c5afb236ULL, 0xf60035048dd30b71ULL}},
+      {"k3-scratch-cut", 3, GainEngine::kScratch, KWayObjective::kCut,
+       {0xe7addc99f26532e6ULL, 0x21a01a79d2167421ULL}},
+      {"k3-shadow-cut", 3, GainEngine::kShadow, KWayObjective::kCut,
+       {0xe7addc99f26532e6ULL, 0x21a01a79d2167421ULL}},
+      {"k8-cached-connectivity", 8, GainEngine::kCached,
+       KWayObjective::kConnectivity,
+       {0xd4362793444b5755ULL, 0xfdc09541e3731a6aULL}},
+      {"k8-scratch-connectivity", 8, GainEngine::kScratch,
+       KWayObjective::kConnectivity,
+       {0xaf87dcdf4baccd21ULL, 0xc5584de46c8bd3daULL}},
+      {"k8-shadow-connectivity", 8, GainEngine::kShadow,
+       KWayObjective::kConnectivity,
+       {0xaf87dcdf4baccd21ULL, 0xc5584de46c8bd3daULL}},
+  };
+  const Hypergraph g = make_mcnc_circuit("p1");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    Rng rng(mix_seed(7, c.k));
+    std::vector<NodeId> part(g.num_nodes());
+    for (auto& p : part) p = static_cast<NodeId>(rng.bounded(c.k));
+    KWayRefineConfig greedy;
+    greedy.objective = c.objective;
+    kway_refine(g, part, c.k, 7, greedy);
+
+    RefineTelemetry telemetry;
+    KWayPropConfig config;
+    config.gain_engine = c.engine;
+    config.objective = c.objective;
+    config.telemetry = &telemetry;
+    const KWayBalanceWindow window = kway_part_window(
+        g.total_node_size(), c.k, 0.1, kway_max_node_size(g));
+    const KWayPropOutcome out = kway_prop_refine(g, part, c.k, window, config);
+
+    std::ostringstream stats;
+    char costs[96];
+    std::snprintf(costs, sizeof costs, "%.17g %.17g %d ", out.cut_cost,
+                  out.connectivity_cost, out.passes);
+    stats << costs;
+    write_json(stats, telemetry, /*include_timing=*/false);
+    const std::string text = stats.str();
+    EXPECT_EQ(hex(fnv1a(part.data(), part.size() * sizeof(NodeId))),
+              hex(c.want.sides))
+        << "cut " << out.cut_cost << " connectivity "
+        << out.connectivity_cost;
+    EXPECT_EQ(hex(fnv1a(text.data(), text.size())), hex(c.want.stats));
   }
 }
 
