@@ -2,7 +2,8 @@
 //   * bootstrap method (uniform pinit vs deterministic-gain, Sec. 3);
 //   * number of gain/probability fixed-point iterations (paper uses 2);
 //   * top-k update width after each move (paper suggests ~5, Sec. 3.4);
-//   * probability window pmin/pmax and thresholds gup/glo (Sec. 3.2).
+//   * probability window pmin/pmax and thresholds gup/glo (Sec. 3.2);
+//   * the V-cycle pass bound (stale_move_limit) on flat PROP.
 //
 // Prints best-of-N cuts for each variant on a few mid-size circuits.
 // Flags: --fast, --circuit NAME, --runs N, --seed N.
@@ -63,6 +64,13 @@ std::vector<Variant> variants() {
   c = {};
   c.gain_engine = prop::GainEngine::kScratch;
   v.push_back({"engine=scratch", c});
+
+  // The V-cycle pass bound (DESIGN.md Sec. 4g) applied to flat PROP: it
+  // cuts the long passes a random start needs, which is why only the
+  // V-cycles turn it on.
+  c = {};
+  c.stale_move_limit = 1000;
+  v.push_back({"stale-moves=1000", c});
   return v;
 }
 
