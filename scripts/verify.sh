@@ -50,9 +50,10 @@ cmake --build --preset asan-ubsan -j "$jobs"
 ctest --preset asan-ubsan -j "$jobs"
 
 # The fault-injection suite gets a dedicated sanitizer pass: degradation
-# paths (eigensolver stalls, mid-pass cancellation, FM fallback) are exactly
-# where stale pointers and half-updated state would hide, so run them under
-# ASan+UBSan explicitly even though the full pass above includes them.
+# paths (eigensolver stalls, mid-pass cancellation, per-run validation
+# failures) are exactly where stale pointers and half-updated state would
+# hide, so run them under ASan+UBSan explicitly even though the full pass
+# above includes them.
 echo "== fault-injection suite (asan+ubsan) =="
 ctest --preset asan-ubsan -j "$jobs" \
   -R 'RuntimeRobustness|FaultInjector|Deadline|CancelToken|Status'
@@ -69,6 +70,12 @@ echo "== gain-engine shadow smoke (asan+ubsan) =="
 # cached totals of all seven targets against scratch on every query.
 ./build-asan/tools/prop_cli --circuit p1 --algo prop --k 8 \
   --gain-engine=shadow --runs 1 > /dev/null
+
+# Auditor guard: PROP with the invariant auditor on must give the same cuts
+# as without it (the auditor only reads state); prop_drift exits 1 when a
+# cut differs.
+echo "== PROP auditor smoke (asan+ubsan) =="
+./build-asan/bench/prop_drift --fast --runs 1 > /dev/null
 
 echo "== budgeted-run smoke (asan+ubsan) =="
 ./build-asan/tools/prop_cli --circuit t4 --algo prop --runs 3 \

@@ -44,10 +44,8 @@ struct PropConfig {
 
   /// Renormalization epoch of the cached engine: every (net, side) product
   /// is recomputed exactly after this many incremental updates (see
-  /// ProbGainCalculator::kDefaultRenormInterval).  The resulting drift
-  /// bound composes with resync_interval and drift_hard_bound below —
-  /// product drift feeds gain drift, which the audit/resync machinery
-  /// already polices.
+  /// ProbGainCalculator::kDefaultRenormInterval).  Product drift feeds
+  /// gain drift, which the auditor records as PassStats::max_gain_drift.
   int renorm_interval = ProbGainCalculator::kDefaultRenormInterval;
 
   /// Number of top-ranked nodes per side whose gains are recomputed after
@@ -72,35 +70,18 @@ struct PropConfig {
   /// pin counts, tree keys == gains[], probability bounds, cut cost — and
   /// throws std::logic_error on a mismatch beyond `audit_tolerance`.  The
   /// gap between gains[] and a from-scratch ProbGainCalculator recompute is
-  /// *recorded* as PassStats::max_gain_drift (it mixes FP drift with the
-  /// deliberate staleness of the paper's Sec. 3.4 update policy); it is
-  /// hard-asserted only immediately after a resync, where exact agreement
-  /// is guaranteed.  0 = off.
+  /// *recorded* as PassStats::max_gain_drift, never acted on: it mixes FP
+  /// drift with the deliberate staleness of the paper's Sec. 3.4 update
+  /// policy, and stale gains only steer selection — a pass accepts the best
+  /// prefix of exact immediate gains.  The auditor only reads state, so an
+  /// audited run makes the same moves as an unaudited one.  0 = off.
   int audit_interval = 0;
   double audit_tolerance = 1e-6;
 
-  /// Every `resync_interval` moves, recompute gains[] of all free nodes
-  /// from scratch (probabilities are left to the normal per-move updates),
-  /// bounding incremental drift.  0 = off (the paper's plain scheme).
-  int resync_interval = 0;
-
   /// Optional runtime context: the move loop polls for deadline expiry /
-  /// injected cancellation (stopping mid-pass with the usual best-prefix
-  /// rollback), and the prop-drift fault site can force the degradation
-  /// chain below.  Null = inert.
+  /// injected cancellation, stopping mid-pass with the usual best-prefix
+  /// rollback.  Null = inert.
   const RunContext* context = nullptr;
-
-  /// Degradation chain for probabilistic-gain drift.  When an audit
-  /// observes max |incremental - scratch| drift above this bound (or the
-  /// prop-drift fault fires), the pass performs an *emergency resync* of
-  /// gains[] — the same sweep as resync_interval, just demand-driven.
-  /// After `max_emergency_resyncs` of those in one refine call the
-  /// probabilistic bookkeeping is deemed untrustworthy: the current pass is
-  /// rolled back to its best prefix and refinement finishes with
-  /// deterministic FM passes instead.  <= 0 disables the drift check
-  /// (injection still works).
-  double drift_hard_bound = 1e-3;
-  int max_emergency_resyncs = 3;
 };
 
 /// The pass bound of both PROP engines: a pass stops once this many moves

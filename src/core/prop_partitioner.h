@@ -34,7 +34,7 @@ RefineOutcome prop_refine(Partition& part, const BalanceConstraint& balance,
 /// gain-kernel microbenchmark asserts exactly that.  `part`, `balance` and
 /// `config` must outlive the refiner, and `part` must not be modified
 /// behind its back.  prop_refine() is the convenience wrapper that adds the
-/// pass loop and the deterministic-FM fallback.
+/// pass loop.
 class PropRefiner {
  public:
   PropRefiner(Partition& part, const BalanceConstraint& balance,
@@ -48,11 +48,6 @@ class PropRefiner {
 
   /// Deadline/cancellation stopped the last pass early (sticky).
   bool interrupted() const noexcept { return interrupted_; }
-  /// The drift degradation chain gave up on probabilistic gains (sticky);
-  /// the caller should finish with deterministic FM.
-  bool fallback_to_fm() const noexcept { return fallback_to_fm_; }
-  /// Emergency resyncs performed across all passes of this refiner.
-  int emergency_resyncs() const noexcept { return emergency_resyncs_; }
 
  private:
   using GainTree = AvlTree<double>;
@@ -67,8 +62,7 @@ class PropRefiner {
 
   void bootstrap_probabilities();
   void refresh_node(NodeId v, PassStats* stats);
-  void resync_gains(PassStats* stats);
-  double audit(PassStats* stats, bool expect_scratch_match) const;
+  void audit(PassStats* stats) const;
 
   Partition* part_;
   const BalanceConstraint* balance_;
@@ -93,8 +87,6 @@ class PropRefiner {
   std::uint32_t stamp_ = 0;
 
   bool interrupted_ = false;
-  bool fallback_to_fm_ = false;
-  int emergency_resyncs_ = 0;
 };
 
 class PropPartitioner final : public Bipartitioner {

@@ -11,7 +11,6 @@ std::optional<FaultSite> site_from_name(std::string_view name) noexcept {
   if (name == "lanczos-stall") return FaultSite::kLanczosStall;
   if (name == "cancel-mid-pass") return FaultSite::kCancelMidPass;
   if (name == "validate-fail") return FaultSite::kValidateFail;
-  if (name == "prop-drift") return FaultSite::kPropDrift;
   if (name == "cg-stall") return FaultSite::kCgStall;
   if (name == "serve-exec") return FaultSite::kServeExec;
   return std::nullopt;
@@ -28,7 +27,6 @@ const char* to_string(FaultSite site) noexcept {
     case FaultSite::kLanczosStall: return "lanczos-stall";
     case FaultSite::kCancelMidPass: return "cancel-mid-pass";
     case FaultSite::kValidateFail: return "validate-fail";
-    case FaultSite::kPropDrift: return "prop-drift";
     case FaultSite::kCgStall: return "cg-stall";
     case FaultSite::kServeExec: return "serve-exec";
   }

@@ -1,18 +1,18 @@
 // Deterministic fault injection for exercising the degradation paths.
 //
 // Every fallback in the runtime layer (eigensolver stall -> random-order
-// init, gain-drift blowup -> resync -> deterministic-FM fallback, mid-pass
-// cancellation -> best-so-far rollback, validation failure -> per-run
-// isolation in run_many) must be testable without waiting for the fault to
-// occur naturally.  A FaultInjector is armed from a spec string and queried
-// at fixed sites in the code; a query either fires (the code behaves as if
-// the fault happened) or passes through.
+// init, mid-pass cancellation -> best-so-far rollback, validation failure
+// -> per-run isolation in run_many, injected worker exception -> job retry)
+// must be testable without waiting for the fault to occur naturally.  A
+// FaultInjector is armed from a spec string and queried at fixed sites in
+// the code; a query either fires (the code behaves as if the fault
+// happened) or passes through.
 //
 // Spec grammar (comma-separated entries):
 //
 //   entry := site ['@' N] ['~' P]
 //   site  := lanczos-stall | cancel-mid-pass | validate-fail
-//          | prop-drift | cg-stall | serve-exec
+//          | cg-stall | serve-exec
 //
 // Without '@', every query of the site is eligible; with '@N' only the
 // N-th query (1-based) is.  Eligible queries fire with probability P
@@ -23,7 +23,7 @@
 //   --inject=lanczos-stall            every eigensolver call stalls
 //   --inject=cancel-mid-pass@100      cancel exactly at the 100th poll
 //   --inject=validate-fail@2          second validation fails
-//   --inject=prop-drift~0.01          ~1% of moves report drift blowup
+//   --inject=cancel-mid-pass~0.01     ~1% of polls cancel the pass
 #pragma once
 
 #include <array>
@@ -39,12 +39,11 @@ enum class FaultSite {
   kLanczosStall,   ///< queried once per smallest_eigenpairs call
   kCancelMidPass,  ///< queried at every refiner move-loop poll
   kValidateFail,   ///< queried once per run_checked validation
-  kPropDrift,      ///< queried at every PROP move (drift blowup signal)
   kCgStall,        ///< queried once per conjugate_gradient call
   kServeExec,      ///< queried once per service job attempt (worker throws)
 };
 
-inline constexpr int kNumFaultSites = 6;
+inline constexpr int kNumFaultSites = 5;
 
 /// Stable identifier used in specs, telemetry and error messages.
 const char* to_string(FaultSite site) noexcept;

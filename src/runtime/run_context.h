@@ -21,10 +21,11 @@
 namespace prop {
 
 /// One recorded fallback: where the failure was detected, what the runtime
-/// degraded to, and optional detail ("drift 3.2e-2 > bound 1e-3").
+/// degraded to, and optional detail ("eigensolver stalled; using shuffled
+/// ordering").
 struct DegradationEvent {
-  std::string site;    ///< e.g. "eig1.lanczos", "prop.gain-drift"
-  std::string action;  ///< e.g. "random-order-fallback", "resync"
+  std::string site;    ///< e.g. "eig1.lanczos", "melo.ordering"
+  std::string action;  ///< e.g. "random-order-fallback", "truncated-chain"
   std::string detail;  ///< free-form, may be empty
 };
 

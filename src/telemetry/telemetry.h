@@ -55,7 +55,6 @@ struct PassStats {
 
   // Invariant-audit observations (zero unless auditing was enabled).
   std::uint64_t audits = 0;        ///< audit sweeps performed this pass
-  std::uint64_t resyncs = 0;       ///< node gains resynced from scratch
   double max_gain_drift = 0.0;     ///< max |incremental - scratch| observed
 
   /// Moves undone by the rollback to the best prefix.
@@ -79,7 +78,6 @@ struct RefineTelemetry {
   std::uint64_t total_moves_accepted() const noexcept;
   std::uint64_t max_rollback_depth() const noexcept;
   std::uint64_t total_audits() const noexcept;
-  std::uint64_t total_resyncs() const noexcept;
   double max_gain_drift() const noexcept;
   GainContainerOps total_ops() const noexcept;
 };

@@ -123,28 +123,6 @@ TEST(RuntimeRobustness, InjectedCgStallStillYieldsValidParaboli) {
   EXPECT_TRUE(report.ok) << report.message;
 }
 
-TEST(RuntimeRobustness, PropDriftBlowupFallsBackToFm) {
-  const Hypergraph g = testing::small_random_circuit(35);
-  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
-  PropConfig config;
-  config.max_emergency_resyncs = 2;
-  PropPartitioner prop_algo(config);
-  // Every PROP move reports a drift blowup: two emergency resyncs, then the
-  // deterministic-FM fallback.
-  Harness h("prop-drift");
-  const RunOutcome outcome = run_checked(prop_algo, g, balance, 13, &h.context);
-  ASSERT_TRUE(outcome.has_result());
-  EXPECT_TRUE(outcome.ok()) << outcome.status.describe();
-  const ValidationReport report = validate_result(g, balance, outcome.result);
-  EXPECT_TRUE(report.ok) << report.message;
-  bool saw_fallback = false;
-  for (const DegradationEvent& e : outcome.degradations) {
-    EXPECT_EQ(e.site, "prop.gain-drift");
-    if (e.action == "fm-fallback") saw_fallback = true;
-  }
-  EXPECT_TRUE(saw_fallback);
-}
-
 TEST(RuntimeRobustness, PerRunFailureIsolation) {
   const Hypergraph g = testing::small_random_circuit(36);
   const BalanceConstraint balance = BalanceConstraint::forty_five(g);

@@ -9,7 +9,7 @@
 // The k = 2 case is the 2-way PROP engine itself; its outputs are pinned
 // byte-for-byte by the GoldenOutput cases FlatPropFortyFive,
 // FlatPropConfigVariants (scratch, shadow, deterministic-gain bootstrap,
-// audit/resync) and MultilevelPropSynthetic
+// audit) and MultilevelPropSynthetic
 // (tests/integration/golden_output_test.cpp).
 #include "core/prob_gain.h"
 

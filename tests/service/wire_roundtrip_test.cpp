@@ -72,7 +72,7 @@ TEST(WireRoundTrip, EveryStatusCodeNameParsesBack) {
 
 TEST(WireRoundTrip, DegradationEvents) {
   const DegradationEvent single{"eig1.lanczos", "random-order-fallback",
-                                "drift 3.2e-2 > bound 1e-3"};
+                                "eigensolver stalled; using shuffled ordering"};
   const JsonValue encoded = degradation_to_json(single);
   expect_stable(encoded, "degradation");
   std::string error;
@@ -84,14 +84,14 @@ TEST(WireRoundTrip, DegradationEvents) {
 
   const std::vector<DegradationEvent> log = {
       single,
-      {"prop.gain-drift", "resync", ""},  // empty detail is omitted
+      {"melo.ordering", "truncated-chain", ""},  // empty detail is omitted
   };
   const JsonValue array = degradations_to_json(log);
   expect_stable(array, "degradation array");
   const auto back = degradations_from_json(array, &error);
   ASSERT_TRUE(back.has_value()) << error;
   ASSERT_EQ(back->size(), 2u);
-  EXPECT_EQ((*back)[1].site, "prop.gain-drift");
+  EXPECT_EQ((*back)[1].site, "melo.ordering");
   EXPECT_TRUE((*back)[1].detail.empty());
   EXPECT_EQ(degradations_to_json(*back).dump(), array.dump());
 }
@@ -129,7 +129,7 @@ TEST(WireRoundTrip, RunOutcome) {
   outcome.result.passes = 3;
   outcome.wall_seconds = 0.020850935000000001;
   outcome.cpu_seconds = 0.0104254675;
-  outcome.degradations.push_back({"prop.gain-drift", "resync", ""});
+  outcome.degradations.push_back({"melo.ordering", "truncated-chain", ""});
 
   ASSERT_TRUE(outcome.has_result());
   const JsonValue encoded = run_outcome_to_json(outcome);
