@@ -244,5 +244,36 @@ TEST(GoldenOutput, MultilevelKWayPropK8) {
   expect_golden(algo, g, 1, {0x9865f6c3454eaff7ULL, 0xbb33568303c7d298ULL});
 }
 
+/// The k-way V-cycle's other refine stages: greedy only, none (projection
+/// of the coarsest solve), and PROP on the cut objective.
+TEST(GoldenOutput, MultilevelKWayConfigVariants) {
+  struct Case {
+    const char* label;
+    KWayRefinerKind refiner;
+    KWayObjective objective;
+    Golden want;
+  };
+  const Case cases[] = {
+      {"greedy-connectivity", KWayRefinerKind::kGreedy,
+       KWayObjective::kConnectivity,
+       {0x717ca6fc72d264a2ULL, 0xba4050807a1f0398ULL}},
+      {"none-connectivity", KWayRefinerKind::kNone,
+       KWayObjective::kConnectivity,
+       {0x5c292034d17d130dULL, 0xc80e6b26a53ff7daULL}},
+      {"prop-cut", KWayRefinerKind::kProp, KWayObjective::kCut,
+       {0xcfc9a02f0b104460ULL, 0xfa51c407f3a0d687ULL}},
+  };
+  const Hypergraph g = make_mcnc_circuit("p1");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    MultilevelKWayConfig config;
+    config.k = 8;
+    config.refiner = c.refiner;
+    config.objective = c.objective;
+    MultilevelKWayPartitioner algo(config);
+    expect_golden(algo, g, 1, c.want);
+  }
+}
+
 }  // namespace
 }  // namespace prop

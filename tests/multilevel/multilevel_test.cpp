@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -180,6 +181,37 @@ TEST(Multilevel, ExpiredDeadlineStillReturnsValidBalancedPartition) {
   EXPECT_TRUE(r.interrupted);
   const ValidationReport report = validate_result(g, balance, r.part);
   EXPECT_TRUE(report.ok) << report.message;
+}
+
+TEST(MultilevelKWay, ExpiredDeadlineStillReturnsValidPartition) {
+  const Hypergraph g = testing::small_random_circuit(35, 400, 520, 1600);
+  const BalanceConstraint balance = BalanceConstraint::forty_five(g);
+  MultilevelKWayConfig config;
+  config.k = 4;
+  config.coarsest_max_nodes = 50;
+  MultilevelKWayPartitioner algo(config);
+  // A fresh token per run: the deadline is read every kPollStride polls,
+  // so each run stops at the same poll.
+  const auto run_expired = [&] {
+    CancelToken cancel((Deadline::after_ms(0.0)));
+    RunContext context;
+    context.cancel = &cancel;
+    algo.attach_context(&context);
+    const PartitionResult r = algo.run(g, balance, 4);
+    algo.attach_context(nullptr);
+    return r;
+  };
+  const PartitionResult r = run_expired();
+  ASSERT_EQ(r.side.size(), g.num_nodes());
+  for (const std::uint8_t part : r.side) EXPECT_LT(part, config.k);
+  const ValidationReport report = algo.validate(g, balance, r);
+  EXPECT_TRUE(report.ok) << report.message;
+  // The stop skipped refinement an unbounded run does.
+  EXPECT_LT(r.passes, algo.run(g, balance, 4).passes);
+  const PartitionResult again = run_expired();
+  EXPECT_EQ(again.side, r.side);
+  EXPECT_EQ(again.cut_cost, r.cut_cost);
+  EXPECT_EQ(again.passes, r.passes);
 }
 
 TEST(Multilevel, InjectedCancellationViaRunChecked) {
