@@ -35,34 +35,7 @@ KWayPipelineResult kway_partition(Bipartitioner& bisector, const Hypergraph& g,
   out.part = std::move(rb.part);
 
   if (config.refiner != KWayRefinerKind::kNone && config.k >= 2) {
-    // Greedy stage: polishes AND legalizes the window (recursive bisection
-    // compounds per-split tolerance, so parts can start outside it).
-    KWayRefineConfig greedy;
-    greedy.objective = config.objective;
-    greedy.tolerance = config.tolerance;
-    greedy.max_passes = config.greedy_max_passes;
-    const KWayRefineOutcome gr =
-        kway_refine(g, out.part, config.k, seed, greedy);
-    out.passes += gr.passes;
-
-    if (config.refiner == KWayRefinerKind::kProp) {
-      KWayPropConfig prop = config.prop;
-      prop.objective = config.objective;
-      prop.telemetry = telemetry;
-      prop.context = context;
-      const KWayBalanceWindow window = kway_part_window(
-          g.total_node_size(), config.k, config.tolerance,
-          kway_max_node_size(g));
-      const KWayPropOutcome pr =
-          kway_prop_refine(g, out.part, config.k, window, prop);
-      out.passes += pr.passes;
-      out.interrupted = pr.interrupted;
-      out.cut_cost = pr.cut_cost;
-      out.connectivity_cost = pr.connectivity_cost;
-      return out;
-    }
-    out.cut_cost = gr.cut_cost;
-    out.connectivity_cost = gr.connectivity_cost;
+    refine_kway_partition(g, seed, config, telemetry, context, out);
     return out;
   }
 
@@ -71,6 +44,37 @@ KWayPipelineResult kway_partition(Bipartitioner& bisector, const Hypergraph& g,
   out.cut_cost = state.cut_cost();
   out.connectivity_cost = state.connectivity_cost();
   return out;
+}
+
+void refine_kway_partition(const Hypergraph& g, std::uint64_t seed,
+                           const KWayPipelineConfig& config,
+                           RefineTelemetry* telemetry,
+                           const RunContext* context, KWayPipelineResult& out) {
+  if (config.refiner == KWayRefinerKind::kNone) return;
+  // Greedy stage: polishes AND legalizes the window (recursive bisection
+  // compounds per-split tolerance, so parts can start outside it).
+  KWayRefineConfig greedy;
+  greedy.objective = config.objective;
+  greedy.tolerance = config.tolerance;
+  greedy.max_passes = config.greedy_max_passes;
+  const KWayRefineOutcome gr = kway_refine(g, out.part, config.k, seed, greedy);
+  out.passes += gr.passes;
+  out.cut_cost = gr.cut_cost;
+  out.connectivity_cost = gr.connectivity_cost;
+  if (config.refiner != KWayRefinerKind::kProp) return;
+
+  KWayPropConfig prop = config.prop;
+  prop.objective = config.objective;
+  prop.telemetry = telemetry;
+  prop.context = context;
+  const KWayBalanceWindow window = kway_part_window(
+      g.total_node_size(), config.k, config.tolerance, kway_max_node_size(g));
+  const KWayPropOutcome pr =
+      kway_prop_refine(g, out.part, config.k, window, prop);
+  out.passes += pr.passes;
+  out.interrupted = out.interrupted || pr.interrupted;
+  out.cut_cost = pr.cut_cost;
+  out.connectivity_cost = pr.connectivity_cost;
 }
 
 KWayPartitioner::KWayPartitioner(std::unique_ptr<Bipartitioner> bisector,

@@ -67,6 +67,16 @@ KWayPipelineResult kway_partition(Bipartitioner& bisector, const Hypergraph& g,
                                   RefineTelemetry* telemetry = nullptr,
                                   const RunContext* context = nullptr);
 
+/// Stages 2 and 3 on `out.part`: the greedy polish/legalize, then k-way
+/// PROP when config.refiner == kProp; kNone runs neither and leaves `out`
+/// as it is.  Adds the passes run, sets both costs of the refined parts,
+/// and sets `out.interrupted` when PROP stopped early.  kway_partition runs
+/// it after recursive bisection; the k-way V-cycle at every level.
+void refine_kway_partition(const Hypergraph& g, std::uint64_t seed,
+                           const KWayPipelineConfig& config,
+                           RefineTelemetry* telemetry,
+                           const RunContext* context, KWayPipelineResult& out);
+
 /// The k-way PartitionResult contract shared by every k-way adapter: part
 /// ids < k and the claimed cost equal (1e-6 relative) to a from-scratch
 /// KWayState recomputation of `objective`.  Part sizes are NOT checked

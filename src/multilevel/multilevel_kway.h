@@ -1,16 +1,16 @@
-// Multilevel k-way V-cycle: the 2-way driver's coarsening and projection
-// machinery with native k-way refinement at every uncoarsening level.
+// Multilevel k-way V-cycle: the coarsen() hierarchy it shares with the
+// 2-way driver (coarsening.h), with the k-way pipeline (kway_partitioner.h)
+// at both ends.
 //
-// Coarsening is the same coarsen() hierarchy as multilevel_driver.h
-// (coarsening.h), never below k nodes.  The coarsest graph is solved by
-// the k-way pipeline (recursive bisection with a multi-start FM bisector,
-// then the configured k-way refiner), and each projection step hands the
-// next finer level an already-good k-way partition that the greedy polish
-// legalizes and the k-way PROP refiner improves toward the configured
-// objective.  Balance at
-// every level is the shared proportional-share window
-// (partition/kway_balance.h) recomputed against that level's max node
-// size, so super-node weight never makes the window unreachable.
+// Coarsening never goes below k nodes.  The coarsest graph is solved by
+// kway_partition (recursive bisection with a multi-start FM bisector, then
+// the configured refine stage), and after each projection step the same
+// refine stage, refine_kway_partition, runs on the finer level: the greedy
+// polish legalizes the projected parts and the k-way PROP refiner improves
+// them toward the configured objective.  Balance at every level is the
+// shared proportional-share window (partition/kway_balance.h) recomputed
+// against that level's max node size, so super-node weight never makes the
+// window unreachable.
 //
 // Deterministic: everything is seeded, so equal seeds give byte-identical
 // results for any runner thread count (same contract as the 2-way driver).
@@ -19,26 +19,23 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "fm/fm_partitioner.h"
 #include "kway/kway_partitioner.h"
-#include "multilevel/multilevel_driver.h"
+#include "multilevel/coarsening.h"
 
 namespace prop {
 
-/// The coarsening settings are the CoarseningConfig base (coarsening.h).
-struct MultilevelKWayConfig : CoarseningConfig {
-  NodeId k = 2;
-  /// Proportional-share tolerance applied at every level.
-  double tolerance = 0.1;
-  KWayObjective objective = KWayObjective::kConnectivity;
-  /// Refiner at every uncoarsening level AND inside the coarsest solve.
-  KWayRefinerKind refiner = KWayRefinerKind::kProp;
-  /// PROP-stage knobs (refiner == kProp); passes are bounded by default.
-  KWayPropConfig prop =
-      vcycle_pass_config<KWayPropConfig>(kVCycleKWayStaleMoveLimit);
-  int greedy_max_passes = 16;
+/// The coarsening settings are the CoarseningConfig base (coarsening.h);
+/// k, tolerance, objective, refiner, prop and greedy_max_passes are the
+/// KWayPipelineConfig base, which the coarsest-graph starts and the
+/// refinement at every uncoarsening level read as they are.
+struct MultilevelKWayConfig : CoarseningConfig, KWayPipelineConfig {
+  /// PROP passes are bounded by default (coarsening.h).
+  MultilevelKWayConfig() {
+    prop = vcycle_pass_config<KWayPropConfig>(kVCycleKWayStaleMoveLimit);
+  }
+
   /// Multi-start pipeline runs on the coarsest graph (best objective wins).
   int initial_runs = 4;
   /// 2-way bisector settings for recursive bisection on the coarsest graph.
@@ -48,21 +45,6 @@ struct MultilevelKWayConfig : CoarseningConfig {
   /// threaded into the PROP refiner.  Null = inert.
   const RunContext* context = nullptr;
 };
-
-struct MultilevelKWayResult {
-  std::vector<NodeId> part;  ///< part id in [0, k) per node
-  double cut_cost = 0.0;
-  double connectivity_cost = 0.0;
-  int passes = 0;
-  int levels = 0;             ///< contraction levels built (0 = ran flat)
-  NodeId coarsest_nodes = 0;  ///< node count of the coarsest graph
-  bool interrupted = false;
-};
-
-MultilevelKWayResult multilevel_kway_partition(
-    const Hypergraph& g, std::uint64_t seed,
-    const MultilevelKWayConfig& config,
-    RefineTelemetry* telemetry = nullptr);
 
 /// Bipartitioner adapter with the same k-way PartitionResult contract as
 /// KWayPartitioner (part ids in `side`, objective cost in `cut_cost`,
