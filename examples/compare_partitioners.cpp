@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     const prop::MultiRunResult r =
         prop::run_many(*entry.algo, g, balance, entry.runs, 1);
     std::printf("%-10s %10.0f %10.1f %12.4f\n", entry.algo->name().c_str(),
-                r.best_cut(), r.mean_cut(), r.seconds_per_run);
+                r.best_cut(), r.mean_cut(), r.cpu_seconds_per_run);
   }
   return 0;
 }

@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
   std::printf("runs     %d\n", runs);
   std::printf("best cut %.0f nets\n", result.best_cut());
   std::printf("mean cut %.1f nets\n", result.mean_cut());
-  std::printf("time     %.3f s total, %.4f s/run\n", result.total_seconds,
-              result.seconds_per_run);
+  std::printf("time     %.3f s total, %.4f s/run (CPU)\n",
+              result.total_cpu_seconds, result.cpu_seconds_per_run);
 
   std::int64_t side0 = 0;
   for (prop::NodeId u = 0; u < circuit.num_nodes(); ++u) {

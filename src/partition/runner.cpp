@@ -71,9 +71,6 @@ void write_json(std::ostream& out, const RunRecord& r, bool include_timing) {
     put_double(out, r.wall_seconds);
     out << ",\"cpu_seconds\":";
     put_double(out, r.cpu_seconds);
-    // Deprecated alias of cpu_seconds, kept for one release.
-    out << ",\"seconds\":";
-    put_double(out, r.cpu_seconds);
   }
   if (!r.degradations.empty()) {
     out << ",\"degradations\":[";
@@ -94,7 +91,6 @@ RunRecord make_record(RunOutcome& outcome, std::uint64_t seed) {
   record.status = outcome.status;
   record.wall_seconds = outcome.wall_seconds;
   record.cpu_seconds = outcome.cpu_seconds;
-  record.seconds = outcome.cpu_seconds;
   record.degradations = std::move(outcome.degradations);
   if (outcome.has_result()) record.cut = outcome.result.cut_cost;
   return record;
@@ -110,10 +106,6 @@ void finish_timing(MultiRunResult& out, double wall_seconds) {
       attempted > 0 ? out.total_wall_seconds / attempted : 0.0;
   out.cpu_seconds_per_run =
       attempted > 0 ? out.total_cpu_seconds / attempted : 0.0;
-  // Deprecated aliases: the historical names were documented as CPU
-  // seconds, so they mirror the CPU fields.
-  out.total_seconds = out.total_cpu_seconds;
-  out.seconds_per_run = out.cpu_seconds_per_run;
 }
 
 [[noreturn]] void throw_all_failed(const Bipartitioner& partitioner,
@@ -462,11 +454,6 @@ void write_stats_json(std::ostream& out, const std::string& circuit,
     out << ",\"wall_seconds_per_run\":";
     put_double(out, result.wall_seconds_per_run);
     out << ",\"cpu_seconds_per_run\":";
-    put_double(out, result.cpu_seconds_per_run);
-    // Deprecated aliases of the CPU fields, kept for one release.
-    out << ",\"total_seconds\":";
-    put_double(out, result.total_cpu_seconds);
-    out << ",\"seconds_per_run\":";
     put_double(out, result.cpu_seconds_per_run);
   }
   out << ",\"run_records\":[";

@@ -52,10 +52,6 @@ struct RunRecord {
   double cut = -1.0;  ///< cut of the validated partition; < 0 when none
   double wall_seconds = 0.0;  ///< wall-clock seconds of the run
   double cpu_seconds = 0.0;   ///< CPU seconds of the run (its own thread)
-  /// Deprecated alias of cpu_seconds (the historical field was documented
-  /// as CPU seconds); kept for one release, mirrored into the "seconds"
-  /// JSON key.
-  double seconds = 0.0;
   std::vector<DegradationEvent> degradations;
 
   bool produced_result() const noexcept { return cut >= 0.0; }
@@ -74,12 +70,6 @@ struct MultiRunResult {
   double total_cpu_seconds = 0.0;
   double wall_seconds_per_run = 0.0;  ///< total_wall_seconds / runs_attempted
   double cpu_seconds_per_run = 0.0;   ///< total_cpu_seconds / runs_attempted
-
-  /// Deprecated aliases of the CPU fields (the historical names were
-  /// documented as CPU seconds but consumed as wall time by the Table 4
-  /// driver); kept for one release.
-  double total_seconds = 0.0;
-  double seconds_per_run = 0.0;
 
   /// Overall status: ok when every requested run was attempted; the stop
   /// code (budget_exhausted / cancelled / injected_fault) when the

@@ -92,7 +92,7 @@ TEST(CrossPartitioner, RunnerRecordsPerRunCuts) {
   EXPECT_EQ(r.cuts.size(), 6u);
   for (const double c : r.cuts) EXPECT_GE(c, r.best_cut());
   EXPECT_GE(r.mean_cut(), r.best_cut());
-  EXPECT_GE(r.total_seconds, 0.0);
+  EXPECT_GE(r.total_cpu_seconds, 0.0);
 }
 
 }  // namespace

@@ -60,7 +60,20 @@ TEST(RunnerSeeds, RecordsCarryTheMixedSeedSequence) {
   EXPECT_EQ(solo.result.cut_cost, r.best_cut());
 }
 
-TEST(RunnerTiming, WallAndCpuFieldsAreSplitAndAliased) {
+// The deprecated timing aliases (RunRecord::seconds, total_seconds,
+// seconds_per_run) are gone; RunTelemetry::seconds is not an alias and stays.
+template <class T>
+constexpr bool kHasSeconds = requires(const T& t) { t.seconds; };
+template <class T>
+constexpr bool kHasTotalSeconds = requires(const T& t) { t.total_seconds; };
+template <class T>
+constexpr bool kHasSecondsPerRun = requires(const T& t) { t.seconds_per_run; };
+static_assert(!kHasSeconds<RunRecord>);
+static_assert(!kHasTotalSeconds<MultiRunResult>);
+static_assert(!kHasSecondsPerRun<MultiRunResult>);
+static_assert(kHasSeconds<RunTelemetry>);
+
+TEST(RunnerTiming, WallAndCpuFieldsAreSplit) {
   const Hypergraph g = testing::chain_of_blocks(4, 8);
   FmPartitioner fm;
   const MultiRunResult r =
@@ -69,14 +82,10 @@ TEST(RunnerTiming, WallAndCpuFieldsAreSplitAndAliased) {
   EXPECT_GE(r.total_cpu_seconds, 0.0);
   EXPECT_DOUBLE_EQ(r.wall_seconds_per_run, r.total_wall_seconds / 3);
   EXPECT_DOUBLE_EQ(r.cpu_seconds_per_run, r.total_cpu_seconds / 3);
-  // The deprecated names alias the CPU fields (Table 4's paper metric).
-  EXPECT_DOUBLE_EQ(r.total_seconds, r.total_cpu_seconds);
-  EXPECT_DOUBLE_EQ(r.seconds_per_run, r.cpu_seconds_per_run);
   double cpu_sum = 0.0;
   for (const RunRecord& rec : r.records) {
     EXPECT_GE(rec.wall_seconds, 0.0);
     EXPECT_GE(rec.cpu_seconds, 0.0);
-    EXPECT_DOUBLE_EQ(rec.seconds, rec.cpu_seconds);
     cpu_sum += rec.cpu_seconds;
   }
   EXPECT_DOUBLE_EQ(r.total_cpu_seconds, cpu_sum);
@@ -96,7 +105,6 @@ TEST(RunnerStatsJson, DoublesRoundTripAtFullPrecision) {
   rec.cut = 1.0 / 3.0;
   rec.wall_seconds = 0.123456789012345678;
   rec.cpu_seconds = 1e-9 + 1e-18;
-  rec.seconds = rec.cpu_seconds;
   r.records.push_back(rec);
 
   std::ostringstream out;
@@ -125,11 +133,21 @@ TEST(RunnerStatsJson, TimingKeysAreGatedByOptions) {
   const std::string timed = with_timing.str();
   for (const char* key :
        {"total_wall_seconds", "total_cpu_seconds", "wall_seconds_per_run",
-        "cpu_seconds_per_run", "total_seconds", "seconds_per_run",
-        "wall_seconds", "cpu_seconds"}) {
-    EXPECT_NE(timed.find("\"" + std::string(key) + "\":"), std::string::npos)
+        "cpu_seconds_per_run", "wall_seconds", "cpu_seconds"}) {
+    EXPECT_NE(timed.find(std::string("\"") + key + "\":"), std::string::npos)
         << key;
   }
+  // The retired aliases are not written.  The first "seconds" key is in
+  // runs[] (RunTelemetry's CPU seconds), so run_records carry none.
+  for (const char* key : {"total_seconds", "seconds_per_run"}) {
+    EXPECT_EQ(timed.find(std::string("\"") + key + "\""), std::string::npos)
+        << key;
+  }
+  const std::size_t runs_at = timed.find("\"runs\":[");
+  ASSERT_NE(runs_at, std::string::npos);
+  const std::size_t run_seconds_at = timed.find("\"seconds\":", runs_at);
+  EXPECT_NE(run_seconds_at, std::string::npos);
+  EXPECT_EQ(timed.find("\"seconds\":"), run_seconds_at);
 
   std::ostringstream without;
   StatsJsonOptions json_options;
@@ -137,7 +155,7 @@ TEST(RunnerStatsJson, TimingKeysAreGatedByOptions) {
   write_stats_json(without, "c", "fm", r, json_options);
   const std::string bare = without.str();
   for (const char* key : {"seconds", "wall_seconds", "cpu_seconds"}) {
-    EXPECT_EQ(bare.find("\"" + std::string(key) + "\""), std::string::npos)
+    EXPECT_EQ(bare.find(std::string("\"") + key + "\""), std::string::npos)
         << key;
   }
   // Everything that is not timing survives.
