@@ -71,14 +71,6 @@ void ProbGainCalculator::renormalize_slot(NetId n, NodeId p) {
   updates_[slot(n, p)] = 0;
 }
 
-void ProbGainCalculator::renormalize_all() {
-  if (!maintains_cache()) return;
-  const NetId nets = state_->graph().num_nets();
-  for (NetId n = 0; n < nets; ++n) {
-    for (NodeId p = 0; p < k_; ++p) renormalize_slot(n, p);
-  }
-}
-
 void ProbGainCalculator::update_factor(NetId n, NodeId p, double old_p,
                                        double old_r, double new_p) {
   const std::size_t s = slot(n, p);

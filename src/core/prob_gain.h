@@ -217,12 +217,6 @@ class ProbGainCalculator {
   /// p(n^{1->2}) when `from` is its side 1.  Computed from the pins.
   double removal_probability(NetId n, NodeId from) const;
 
-  /// Recomputes every cached (net, part) product and zero counter exactly
-  /// from the pins and restarts all renormalization epochs.  Immediately
-  /// afterwards the cache is bit-identical to a scratch in-pin-order
-  /// recompute.  No-op under the scratch engine.  O(pins * k).
-  void renormalize_all();
-
   /// Max |cached product - scratch recompute| over all (net, part) slots;
   /// 0 under the scratch engine.  O(pins * k); telemetry/test instrument.
   double max_product_drift() const;
