@@ -10,8 +10,10 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
+# The release build treats warnings as errors (PROP_WERROR), so a new
+# warning fails verification instead of scrolling past.
 echo "== release build + tests =="
-cmake --preset release
+cmake --preset release -DPROP_WERROR=ON
 cmake --build --preset release -j "$jobs"
 ctest --preset release -j "$jobs"
 

@@ -130,7 +130,9 @@ TEST(AvlTree, RandomOpsMatchMultiset) {
     }
 
     ASSERT_EQ(t.size(), reference.size());
-    if (op % 500 == 0) ASSERT_TRUE(t.check_invariants());
+    if (op % 500 == 0) {
+      ASSERT_TRUE(t.check_invariants());
+    }
     if (!reference.empty()) {
       int max_key = reference.begin()->second;
       for (const auto& [rh, rk] : reference) max_key = std::max(max_key, rk);

@@ -134,8 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(64, 200, 700),
                       std::make_tuple(2000, 2000, 7000)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_e" +
-             std::to_string(std::get<1>(info.param));
+      return std::string("n") + std::to_string(std::get<0>(info.param)) +
+             "_e" + std::to_string(std::get<1>(info.param));
     });
 
 TEST_P(GeneratorSweep, ExactCountsNoIsolatedNodes) {

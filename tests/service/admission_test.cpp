@@ -108,7 +108,7 @@ TEST(Admission, ScheduleIsDeterministic) {
     int id = 0;
     for (int round = 0; round < 5; ++round) {
       for (int i = 0; i < 3; ++i) {
-        (void)q.push(job("j" + std::to_string(id++),
+        (void)q.push(job(std::string("j") + std::to_string(id++),
                          i == 0 ? "alpha" : "beta", i % 2 ? 1 : 0));
       }
       order.push_back(q.pop().id);
@@ -124,10 +124,10 @@ TEST(Admission, BoundsTenantHistory) {
   // eviction must also not crash or break subsequent scheduling.
   AdmissionQueue q(AdmissionConfig{4, 4});
   for (int i = 0; i < 3000; ++i) {
-    ASSERT_TRUE(q.push(job("j" + std::to_string(i),
-                           "tenant" + std::to_string(i)))
+    ASSERT_TRUE(q.push(job(std::string("j") + std::to_string(i),
+                           std::string("tenant") + std::to_string(i)))
                     .ok());
-    EXPECT_EQ(q.pop().id, "j" + std::to_string(i));
+    EXPECT_EQ(q.pop().id, std::string("j") + std::to_string(i));
   }
   ASSERT_TRUE(q.push(job("last", "alpha")).ok());
   EXPECT_EQ(q.pop().id, "last");

@@ -16,7 +16,7 @@ TEST(WallTimer, Monotonic) {
 TEST(CpuTimer, AdvancesUnderWork) {
   CpuTimer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i * 0.5;
   EXPECT_GT(t.seconds(), 0.0);
 }
 

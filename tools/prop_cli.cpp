@@ -1,7 +1,7 @@
 // prop_cli — command-line driver for the whole partitioner suite.
 //
-//   prop_cli --hgr netlist.hgr --algo prop --runs 20 --balance 45-55 \
-//            --seed 1 --out parts.txt
+//   prop_cli --hgr netlist.hgr --algo prop --runs 20 --balance 45-55 --seed 1
+//   prop_cli --hgr netlist.hgr --algo prop --out parts.txt
 //   prop_cli --circuit industry2 --algo fm --runs 100
 //   prop_cli --circuit p2 --algo prop --k 8            # k-way (RB + refiner)
 //   prop_cli --circuit balu --algo prop --stats-json stats.json
