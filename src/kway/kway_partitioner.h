@@ -36,13 +36,18 @@ enum class KWayRefinerKind {
 
 const char* to_string(KWayRefinerKind kind) noexcept;
 
+/// The post-pass every k-way entry point runs unless told otherwise: the
+/// pipeline config, make_kway_algo, the wire JobSpec and prop_cli's
+/// --kway-refiner all default to it (the latter two by its to_string name).
+inline constexpr KWayRefinerKind kDefaultKWayRefiner = KWayRefinerKind::kProp;
+
 struct KWayPipelineConfig {
   NodeId k = 2;
   /// Proportional-share balance tolerance, shared by every stage via
   /// partition/kway_balance.h.
   double tolerance = 0.1;
   KWayObjective objective = KWayObjective::kConnectivity;
-  KWayRefinerKind refiner = KWayRefinerKind::kProp;
+  KWayRefinerKind refiner = kDefaultKWayRefiner;
   /// PROP-stage knobs; objective/telemetry/context are synced from the
   /// fields above at run time.
   KWayPropConfig prop;

@@ -37,7 +37,7 @@ const std::string& algo_names();
 /// nullptr when `base` is unknown.  k must be in [2, 256].
 std::unique_ptr<Bipartitioner> make_kway_algo(
     const std::string& base, NodeId k,
-    KWayRefinerKind refiner = KWayRefinerKind::kProp,
+    KWayRefinerKind refiner = kDefaultKWayRefiner,
     KWayObjective objective = KWayObjective::kConnectivity,
     GainEngine gain_engine = GainEngine::kCached);
 

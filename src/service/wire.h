@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "kway/kway_partitioner.h"
 #include "partition/runner.h"
 #include "runtime/run_context.h"
 #include "runtime/status.h"
@@ -86,7 +87,7 @@ struct JobSpec {
   int k = 2;
   /// K-way post-pass when k > 2: "prop" (native k-way PROP), "greedy", or
   /// "none" (recursive bisection only).  Ignored for k = 2.
-  std::string kway_refiner = "prop";
+  std::string kway_refiner = to_string(kDefaultKWayRefiner);
   /// K-way objective when k > 2: "connectivity" (sum c(n)*(lambda-1)) or
   /// "cut" (nets spanning >= 2 parts).  Ignored for k = 2.
   std::string kway_objective = "connectivity";

@@ -114,7 +114,8 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
   const auto k = static_cast<prop::NodeId>(k_arg);
-  const std::string kway_refiner_name = args.get_or("kway-refiner", "prop");
+  const std::string kway_refiner_name = args.get_or(
+      "kway-refiner", prop::to_string(prop::kDefaultKWayRefiner));
   const auto kway_refiner =
       prop::service::parse_kway_refiner(kway_refiner_name);
   if (!kway_refiner) {
