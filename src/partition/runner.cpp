@@ -15,7 +15,8 @@ namespace prop {
 namespace {
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) for
-/// status messages and degradation details.
+/// every string the stats JSON carries: circuit and algorithm names, status
+/// messages and degradation details.
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -435,8 +436,8 @@ void write_stats_json(std::ostream& out, const std::string& circuit,
                       const std::string& algo, const MultiRunResult& result,
                       const StatsJsonOptions& json_options) {
   const bool timing = json_options.include_timing;
-  out << "{\"circuit\":\"" << circuit << "\",\"algo\":\"" << algo
-      << "\",\"outcome\":\"" << to_string(result.status.code) << "\"";
+  out << "{\"circuit\":\"" << json_escape(circuit) << "\",\"algo\":\""
+      << json_escape(algo) << "\",\"outcome\":\"" << to_string(result.status.code) << "\"";
   if (!result.status.message.empty()) {
     out << ",\"message\":\"" << json_escape(result.status.message) << "\"";
   }

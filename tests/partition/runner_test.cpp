@@ -1,6 +1,7 @@
 // Multi-start runner unit tests: the pinned per-run seed derivation, the
 // wall/CPU timing split and its deprecated aliases, and the stats-JSON
-// serialization (round-trip double precision, timing exclusion).
+// serialization (round-trip double precision, timing exclusion, escaped
+// names).
 #include "partition/runner.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "fm/fm_partitioner.h"
+#include "service/json.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -163,6 +165,36 @@ TEST(RunnerStatsJson, TimingKeysAreGatedByOptions) {
   EXPECT_NE(bare.find("\"best_seed\":"), std::string::npos);
   EXPECT_NE(bare.find("\"run_records\":["), std::string::npos);
   EXPECT_NE(bare.find("\"runs\":["), std::string::npos);
+}
+
+TEST(RunnerStatsJson, HostileNamesAreEscaped) {
+  // The circuit name is the --hgr path, so it can hold anything a file
+  // name can: a quote, a backslash and a control byte must come back out
+  // of a JSON parser unchanged instead of breaking the document.
+  const Hypergraph g = testing::chain_of_blocks(3, 6);
+  FmPartitioner fm;
+  const MultiRunResult r =
+      run_many(fm, g, BalanceConstraint::fifty_fifty(g), 2, 9);
+  const std::string circuit = "dir\\a\"b\x01" "c.hgr";
+  const std::string algo = "fm\t\"x\"";
+
+  std::ostringstream out;
+  write_stats_json(out, circuit, algo, r);
+  std::string error;
+  const auto doc = service::json_parse(out.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error << "\n" << out.str();
+  ASSERT_NE(doc->find("circuit"), nullptr);
+  ASSERT_NE(doc->find("algo"), nullptr);
+  EXPECT_EQ(doc->find("circuit")->as_string(), circuit);
+  EXPECT_EQ(doc->find("algo")->as_string(), algo);
+  ASSERT_NE(doc->find("run_records"), nullptr);
+  EXPECT_EQ(doc->find("run_records")->items().size(), 2u);
+
+  // An ordinary name is written as it is.
+  std::ostringstream plain;
+  write_stats_json(plain, "balu", "PROP", r);
+  EXPECT_EQ(plain.str().rfind("{\"circuit\":\"balu\",\"algo\":\"PROP\",", 0),
+            0u);
 }
 
 TEST(Runner, RejectsNegativeThreadCount) {
