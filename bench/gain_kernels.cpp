@@ -4,8 +4,8 @@
 //
 // Four kernels, each timed per {circuit, engine}:
 //   * bootstrap:   reset + pinit assignment + 2 gain/probability fixed-point
-//                  iterations, using the engine-appropriate sweep (net-major
-//                  for cached, node-major for scratch).
+//                  iterations, as the pass engine runs them (closed-form
+//                  uniform start for cached, two plain sweeps for scratch).
 //   * gain-query:  random gain(u) queries on a mixed free/locked state —
 //                  the pure read path (O(deg) cached vs O(deg*netsize)
 //                  scratch).
@@ -135,32 +135,38 @@ struct Timed {
 };
 
 // --- bootstrap kernel ------------------------------------------------------
-// reset + blind pinit + `refine_iterations` gain/probability fixed-point
-// rounds, exactly the sweep structure PropRefiner::bootstrap_probabilities
-// uses per engine: net-major accumulation for cached, node-major gain(u)
-// for scratch.
+// reset + blind pinit + 2 gain/probability fixed-point rounds, exactly the
+// sweep structure PropRefiner::bootstrap_probabilities uses per engine:
+// node-major gain(u) sweeps for both, with the cached engine's closed-form
+// uniform start (reset_uniform, then the first round's gains from
+// uniform_gains in the same loop as its set_probability calls).
 Timed run_bootstrap(const prop::Hypergraph& g, const prop::KWayState& state,
                     GainEngine engine, int reps, const char* circuit) {
   const prop::ProbabilityModel model;
   prop::ProbGainCalculator calc(state, engine);
   const auto n = static_cast<NodeId>(g.num_nodes());
-  const auto m = static_cast<NetId>(g.num_nets());
   std::vector<double> gains(n, 0.0);
+  const bool closed_form = engine == GainEngine::kCached;
 
   const auto one_rep = [&] {
-    calc.reset();
-    for (NodeId u = 0; u < n; ++u) calc.set_probability(u, model.pinit);
+    if (closed_form) {
+      calc.reset_uniform(model.pinit);
+    } else {
+      calc.reset();
+      for (NodeId u = 0; u < n; ++u) calc.set_probability(u, model.pinit);
+    }
     for (int iter = 0; iter < 2; ++iter) {
-      if (engine == GainEngine::kCached) {
-        std::fill(gains.begin(), gains.end(), 0.0);
-        for (NetId net = 0; net < m; ++net) {
-          calc.for_each_net_gain(
-              net, [&](NodeId v, NodeId, double gn) { gains[v] += gn; });
-        }
-      } else {
+      if (iter == 0 && closed_form) {
+        double out[2];
         for (NodeId u = 0; u < n; ++u) {
-          gains[u] = calc.gain(u, 1 - state.part(u));
+          calc.uniform_gains(u, out);
+          gains[u] = out[1 - state.part(u)];
+          calc.set_probability(u, model.from_gain(gains[u]));
         }
+        continue;
+      }
+      for (NodeId u = 0; u < n; ++u) {
+        gains[u] = calc.gain(u, 1 - state.part(u));
       }
       for (NodeId u = 0; u < n; ++u) {
         calc.set_probability(u, model.from_gain(gains[u]));

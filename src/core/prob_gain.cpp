@@ -52,6 +52,64 @@ void ProbGainCalculator::reset() {
   }
 }
 
+void ProbGainCalculator::reset_uniform(double p) {
+  if (!(p > 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("prob gain: uniform p out of (0,1]");
+  }
+  const Hypergraph& g = state_->graph();
+  const std::size_t slots = static_cast<std::size_t>(g.num_nets()) * k_;
+  p_.assign(g.num_nodes(), p);
+  locked_.assign(g.num_nodes(), 0);
+  locked_pins_.assign(slots, 0);
+  uniform_recip_ = 1.0 / p;  // the reciprocal set_probability caches
+  const std::size_t max_pins = g.max_net_size();
+  uniform_pow_.resize(max_pins + 1);
+  uniform_updates_.resize(max_pins + 1);
+  uniform_pow_[0] = 1.0;
+  uniform_updates_[0] = 0;
+  for (std::size_t m = 1; m <= max_pins; ++m) {
+    // One update_factor step: multiply the factor in, count the update,
+    // restart the epoch where that step would renormalize.
+    const double prod = uniform_pow_[m - 1] * p;
+    std::uint32_t updates = uniform_updates_[m - 1] + 1;
+    if (static_cast<int>(updates) >= renorm_interval_ ||
+        !(prod >= kRenormMagLo && prod <= kRenormMagHi)) {
+      updates = 0;
+    }
+    uniform_pow_[m] = prod;
+    uniform_updates_[m] = updates;
+  }
+  if (!maintains_cache()) return;
+  recip_.assign(g.num_nodes(), uniform_recip_);
+  prod_.resize(slots);
+  zero_free_.assign(slots, 0);
+  updates_.resize(slots);
+  for (NetId n = 0; n < g.num_nets(); ++n) {
+    for (NodeId q = 0; q < k_; ++q) {
+      const std::uint32_t m = state_->pins_in(n, q);
+      prod_[slot(n, q)] = uniform_pow_[m];
+      updates_[slot(n, q)] = uniform_updates_[m];
+    }
+  }
+}
+
+void ProbGainCalculator::uniform_gains(NodeId u, double* out) const {
+  const KWayState& state = *state_;
+  const Hypergraph& g = state.graph();
+  const NodeId a = state.part(u);
+  std::fill_n(out, k_, 0.0);
+  // The terms of cached_gains with nothing locked and no zero factor.
+  for (const NetId n : g.nets_of(u)) {
+    const SourceTerm src(g.net_cost(n), false,
+                         uniform_pow_[state.pins_in(n, a)] * uniform_recip_);
+    for (NodeId i = 0; i + 1 < k_; ++i) {
+      const NodeId to = target(a, i);
+      const std::uint32_t m_to = state.pins_in(n, to);
+      out[to] += m_to == 0 ? src.no_pin : src.touched(uniform_pow_[m_to]);
+    }
+  }
+}
+
 void ProbGainCalculator::scratch_part(NetId n, NodeId p, double& prod,
                                       std::uint32_t& zeros) const {
   prod = 1.0;

@@ -81,9 +81,9 @@ class PropRefiner {
   std::vector<std::uint32_t> visit_stamp_;
   // Pass-start (gain, node) staging for the sorted bulk load of the trees.
   std::vector<std::pair<double, NodeId>> sort_scratch_[2];
-  // Pass-start nodes of each side by ascending size (non-unit sizes only):
-  // the smallest free node bounds which moves can be feasible.
-  std::vector<NodeId> by_size_[2];
+  // Every node by ascending (size, id), sorted once (non-unit sizes only):
+  // a side's smallest free node bounds which moves can be feasible.
+  std::vector<NodeId> by_size_;
   std::uint32_t stamp_ = 0;
 
   bool interrupted_ = false;

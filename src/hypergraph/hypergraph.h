@@ -38,7 +38,10 @@ class Hypergraph {
   /// Total pin count m = sum of net sizes = sum of node degrees.
   std::size_t num_pins() const noexcept { return net_pins_.size(); }
 
-  /// Nets incident to node u (the nets u "is connected to").
+  /// Nets incident to node u (the nets u "is connected to"), strictly
+  /// ascending by net id: the builder's counting-sort transpose visits nets
+  /// in id order.  The PROP gain sweeps depend on this order (DESIGN.md
+  /// §4f).
   std::span<const NetId> nets_of(NodeId u) const noexcept {
     return {node_pins_.data() + node_offsets_[u],
             node_offsets_[u + 1] - node_offsets_[u]};

@@ -63,7 +63,6 @@ class PassEngine {
   /// One speculative pass; returns the accepted exact-objective improvement
   /// (the best prefix, everything past it rolled back).
   double run_pass(PassStats* stats) {
-    calc_.reset();
     bootstrap_probabilities();
     load_tree(stats);
 
@@ -143,6 +142,11 @@ class PassEngine {
   /// walk over u's nets serves all targets.
   KWayGainEntry best_entry(NodeId u) {
     calc_.gains(u, target_gains_.data());
+    return best_of_targets(u);
+  }
+
+  /// The best_entry choice over the gains already in target_gains_.
+  KWayGainEntry best_of_targets(NodeId u) const {
     const NodeId from = state_.part(u);
     KWayGainEntry e{0.0, from};
     bool first = true;
@@ -173,15 +177,34 @@ class PassEngine {
     return best;
   }
 
+  /// Pass start: every node at pinit, then `refine_iterations` Jacobi-style
+  /// refinement sweeps (Sec. 3.3): gains against the current probabilities
+  /// first, then all probabilities rewritten — so the sweep is
+  /// order-independent and engine ulps don't feed back mid-sweep.  The
+  /// cached engine starts in closed form (reset_uniform), and its first
+  /// sweep reads the uniform-state gains from pin counts (uniform_gains),
+  /// so gain and new probability of a node come from one loop with the same
+  /// set_probability calls in the same order (DESIGN.md §4f).
   void bootstrap_probabilities() {
     const NodeId nodes = g_.num_nodes();
-    for (NodeId u = 0; u < nodes; ++u) {
-      calc_.set_probability(u, config_.model.pinit);
+    const double pinit = config_.model.pinit;
+    const bool closed_form =
+        config_.gain_engine == GainEngine::kCached && pinit > 0.0;
+    if (closed_form) {
+      calc_.reset_uniform(pinit);
+    } else {
+      calc_.reset();
+      for (NodeId u = 0; u < nodes; ++u) calc_.set_probability(u, pinit);
     }
-    // Jacobi-style refinement sweeps (Sec. 3.3): gains against the current
-    // probabilities first, then all probabilities rewritten — so the sweep
-    // is order-independent and engine ulps don't feed back mid-sweep.
     for (int it = 0; it < config_.refine_iterations; ++it) {
+      if (it == 0 && closed_form) {
+        for (NodeId u = 0; u < nodes; ++u) {
+          calc_.uniform_gains(u, target_gains_.data());
+          gains_[u] = best_of_targets(u).gain;
+          calc_.set_probability(u, config_.model.from_gain(gains_[u]));
+        }
+        continue;
+      }
       for (NodeId u = 0; u < nodes; ++u) {
         gains_[u] = best_entry(u).gain;
       }

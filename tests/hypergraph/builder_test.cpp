@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "hypergraph/contraction.h"
+#include "hypergraph/generator.h"
 #include "hypergraph/stats.h"
+#include "util/rng.h"
 
 namespace prop {
 namespace {
@@ -97,6 +100,41 @@ TEST(Builder, MaxDegreeAndNetSize) {
   const Hypergraph g = std::move(b).build();
   EXPECT_EQ(g.max_degree(), 3u);  // node 0
   EXPECT_EQ(g.max_net_size(), 4u);
+}
+
+/// Every node's nets_of list is strictly ascending by net id.  The PROP
+/// gain sweeps rely on it: a node-major gain sum over nets_of(u) then adds
+/// its per-net terms in the order a net-major sweep would (DESIGN.md §4f).
+void expect_nets_of_ascending(const Hypergraph& g, const char* what) {
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto nets = g.nets_of(u);
+    const auto bad = std::adjacent_find(nets.begin(), nets.end(),
+                                        [](NetId a, NetId b) { return a >= b; });
+    ASSERT_EQ(bad, nets.end()) << what << ": node " << u;
+  }
+}
+
+TEST(Builder, NetsOfIsAscendingOnGeneratedAndContractedGraphs) {
+  {
+    // Pins given out of order and repeated.
+    HypergraphBuilder b(5);
+    b.add_net({4, 0, 2, 0});
+    b.add_net({3, 1, 4});
+    b.add_net({2, 4, 1, 2});
+    b.add_net({0, 4});
+    expect_nets_of_ascending(std::move(b).build(), "hand-built");
+  }
+  Rng rng(29);
+  for (const std::uint64_t seed : {3ULL, 17ULL, 41ULL}) {
+    const Hypergraph g = generate_circuit({"asc", 600, 640, 2300}, seed);
+    expect_nets_of_ascending(g, "generated");
+    for (const NodeId clusters : {NodeId{300}, NodeId{60}, NodeId{7}}) {
+      std::vector<NodeId> cluster_of(g.num_nodes());
+      for (auto& c : cluster_of) c = static_cast<NodeId>(rng.bounded(clusters));
+      expect_nets_of_ascending(contract(g, cluster_of, clusters).coarse,
+                               "contracted");
+    }
+  }
 }
 
 TEST(Stats, MatchesPaperDefinitions) {
