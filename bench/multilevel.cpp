@@ -10,7 +10,7 @@
 //                     ml cpu, > 1 means the V-cycle is also faster).
 //   * contract-merge: the parallel-net merge from contract() in isolation,
 //                     timed as the legacy std::map<pin-vector, cost> merge
-//                     ("map") vs the shipped sorted-pin-sequence hash merge
+//                     ("map") vs the shipped hash merge, prop::merge_nets
 //                     ("hash"); both emit the identical lexicographically
 //                     sorted (pins, cost) list, and the bench asserts that
 //                     before trusting the timing.
@@ -101,38 +101,17 @@ std::vector<MergedNet> merge_with_map(const prop::Hypergraph& g,
   return out;
 }
 
-/// The shipped merge: hash of the sorted pin sequence, vector compares only
-/// on genuine duplicates, one final sort to restore lexicographic emission
-/// order (mirrors contract() in src/hypergraph/contraction.cpp).
-std::vector<MergedNet> merge_with_hash(const prop::Hypergraph& g,
-                                       const std::vector<NodeId>& fine_to_coarse) {
-  struct PinSeqHash {
-    std::size_t operator()(const std::vector<NodeId>& pins) const noexcept {
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      for (const NodeId p : pins) {
-        h ^= p;
-        h *= 0x100000001b3ULL;
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
-  std::unordered_map<std::vector<NodeId>, std::size_t, PinSeqHash> index;
-  index.reserve(g.num_nets());
-  std::vector<MergedNet> merged;
-  merged.reserve(g.num_nets());
-  for (NetId n = 0; n < g.num_nets(); ++n) {
-    std::vector<NodeId> pins = coarse_pins(g, n, fine_to_coarse);
-    if (pins.empty()) continue;
-    const auto [it, inserted] = index.try_emplace(pins, merged.size());
-    if (inserted) {
-      merged.push_back(MergedNet{std::move(pins), g.net_cost(n)});
-    } else {
-      merged[it->second].cost += g.net_cost(n);
-    }
+/// The shipped merge, prop::merge_nets (contract()'s net step: one flat
+/// pin buffer, an open-addressing hash table of net ids, one final sort
+/// into lexicographic emission order), as a MergedNet list.
+std::vector<MergedNet> to_merged_list(const prop::MergedNets& nets) {
+  std::vector<MergedNet> out;
+  out.reserve(nets.size());
+  for (std::size_t j = 0; j < nets.size(); ++j) {
+    const auto pins = nets.pins_of(j);
+    out.push_back(MergedNet{{pins.begin(), pins.end()}, nets.costs[j]});
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const MergedNet& a, const MergedNet& b) { return a.pins < b.pins; });
-  return merged;
+  return out;
 }
 
 bool same_merge(const std::vector<MergedNet>& a, const std::vector<MergedNet>& b) {
@@ -320,7 +299,8 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<MergedNet> via_map = merge_with_map(g, fine_to_coarse);
-    const std::vector<MergedNet> via_hash = merge_with_hash(g, fine_to_coarse);
+    const std::vector<MergedNet> via_hash =
+        to_merged_list(prop::merge_nets(g, fine_to_coarse));
     if (!same_merge(via_map, via_hash)) {
       merge_mismatch = true;
       std::fprintf(stderr,
@@ -336,11 +316,11 @@ int main(int argc, char** argv) {
       for (int m = 0; m < std::max(1, min_of); ++m) {
         prop::WallTimer wall;
         prop::ThreadCpuTimer cpu;
-        const std::vector<MergedNet> merged =
-            variant == 0 ? merge_with_map(g, fine_to_coarse)
-                         : merge_with_hash(g, fine_to_coarse);
+        const std::size_t merged =
+            variant == 0 ? merge_with_map(g, fine_to_coarse).size()
+                         : prop::merge_nets(g, fine_to_coarse).size();
         const double w = wall.seconds();
-        sink += merged.size();
+        sink += merged;
         if (m == 0 || w < best_wall) {
           best_wall = w;
           best_cpu = cpu.seconds();

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
@@ -37,6 +38,30 @@ struct ContractionResult {
 ContractionResult contract(const Hypergraph& g,
                            const std::vector<NodeId>& cluster_of,
                            NodeId num_clusters);
+
+/// The distinct coarse nets of a contraction, in the order contract() adds
+/// them (lexicographic by pin sequence): net j has the sorted,
+/// deduplicated pins pins[offsets[j] .. offsets[j + 1]) and cost costs[j].
+struct MergedNets {
+  std::vector<NodeId> pins;
+  std::vector<std::size_t> offsets{0};
+  std::vector<double> costs;
+
+  std::size_t size() const noexcept { return costs.size(); }
+  std::span<const NodeId> pins_of(std::size_t j) const noexcept {
+    return {pins.data() + offsets[j], offsets[j + 1] - offsets[j]};
+  }
+};
+
+/// contract()'s net step: maps every net of `g` through `fine_to_coarse`,
+/// drops the nets left inside one coarse node, and merges parallel nets,
+/// summing their costs in fine-net order.  `hash_mask` narrows the merge
+/// table's hash (all ones in contract()); a narrow mask makes distinct pin
+/// sets share a hash and a probe chain, so tests can drive the table's
+/// collision path.  The result does not depend on it.
+MergedNets merge_nets(const Hypergraph& g,
+                      const std::vector<NodeId>& fine_to_coarse,
+                      std::uint64_t hash_mask = ~std::uint64_t{0});
 
 /// Projects a partition of the coarse graph back to the fine graph: fine
 /// node u gets the part (or side) of its coarse node fine_to_coarse[u].
