@@ -32,7 +32,7 @@ struct PropConfig {
 
   /// Which product engine backs the probabilistic gains (DESIGN.md
   /// Sec. 4f).  kCached is the production path: O(1) incremental
-  /// per-(net, side) products, a net-major bootstrap sweep, and epoch
+  /// per-(net, side) products, a closed-form uniform pass start, and epoch
   /// renormalization bounding FP drift.  kScratch recomputes every product
   /// by pin iteration — the pre-cache cost model, kept as the audit oracle
   /// and the benchmark baseline (bench/gain_kernels).  kShadow answers
