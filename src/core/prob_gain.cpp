@@ -26,7 +26,8 @@ ProbGainCalculator::ProbGainCalculator(const KWayState& state,
       engine_(engine),
       renorm_interval_(renorm_interval < 1 ? 1 : renorm_interval),
       emit_prod_(state.k()),
-      emit_zeros_(state.k()) {
+      emit_zeros_(state.k()),
+      emit_eff_(state.k()) {
   reset();
 }
 
@@ -38,15 +39,18 @@ void ProbGainCalculator::reset() {
   locked_pins_.assign(slots, 0);
   if (maintains_cache()) {
     // Everything is free with p = 0, so each part's product is an empty
-    // product of nonzero factors (1) and the zero counter is the part's
-    // full pin count.
+    // product of nonzero factors (1), the zero counter is the part's full
+    // pin count, and the effective product is 0 unless the part is empty.
     prod_.assign(slots, 1.0);
     zero_free_.resize(slots);
+    eff_.resize(slots);
     updates_.assign(slots, 0);
     recip_.assign(g.num_nodes(), 0.0);
     for (NetId n = 0; n < g.num_nets(); ++n) {
       for (NodeId p = 0; p < k_; ++p) {
-        zero_free_[slot(n, p)] = state_->pins_in(n, p);
+        const std::uint32_t m = state_->pins_in(n, p);
+        zero_free_[slot(n, p)] = m;
+        eff_[slot(n, p)] = m == 0 ? 1.0 : 0.0;
       }
     }
   }
@@ -82,12 +86,16 @@ void ProbGainCalculator::reset_uniform(double p) {
   if (!maintains_cache()) return;
   recip_.assign(g.num_nodes(), uniform_recip_);
   prod_.resize(slots);
+  eff_.resize(slots);
   zero_free_.assign(slots, 0);
   updates_.resize(slots);
   for (NetId n = 0; n < g.num_nets(); ++n) {
     for (NodeId q = 0; q < k_; ++q) {
+      // Nothing is locked and no factor is zero, so the effective product
+      // is the product, and pow[0] == 1 covers an empty part.
       const std::uint32_t m = state_->pins_in(n, q);
       prod_[slot(n, q)] = uniform_pow_[m];
+      eff_[slot(n, q)] = uniform_pow_[m];
       updates_[slot(n, q)] = uniform_updates_[m];
     }
   }
@@ -100,14 +108,13 @@ void ProbGainCalculator::uniform_gains(NodeId u, double* out) const {
   std::fill_n(out, k_, 0.0);
   // The terms of cached_gains with nothing locked and no zero factor.
   for (const NetId n : g.nets_of(u)) {
-    const SourceTerm src(g.net_cost(n), false,
-                         uniform_pow_[state.pins_in(n, a)] * uniform_recip_);
-    for (NodeId i = 0; i + 1 < k_; ++i) {
-      const NodeId to = target(a, i);
-      const std::uint32_t m_to = state.pins_in(n, to);
-      out[to] += m_to == 0 ? src.no_pin : src.touched(uniform_pow_[m_to]);
+    const double c = g.net_cost(n);
+    const double excl = uniform_pow_[state.pins_in(n, a)] * uniform_recip_;
+    for (NodeId p = 0; p < k_; ++p) {
+      out[p] += c * (excl - uniform_pow_[state.pins_in(n, p)]);
     }
   }
+  out[a] = 0.0;
 }
 
 void ProbGainCalculator::scratch_part(NetId n, NodeId p, double& prod,
@@ -120,6 +127,29 @@ void ProbGainCalculator::scratch_part(NetId n, NodeId p, double& prod,
       ++zeros;
     } else {
       prod *= p_[v];
+    }
+  }
+}
+
+void ProbGainCalculator::scratch_row(NetId n) const {
+  std::fill(emit_prod_.begin(), emit_prod_.end(), 1.0);
+  std::fill(emit_zeros_.begin(), emit_zeros_.end(), 0u);
+  for (const NodeId v : state_->graph().pins_of(n)) {
+    if (locked_[v]) continue;
+    const NodeId pv = state_->part(v);
+    if (p_[v] == 0.0) {
+      ++emit_zeros_[pv];
+    } else {
+      emit_prod_[pv] *= p_[v];
+    }
+  }
+  for (NodeId p = 0; p < k_; ++p) {
+    if (state_->pins_in(n, p) == 0) {
+      emit_eff_[p] = 1.0;
+    } else if (part_locked(n, p) || emit_zeros_[p] > 0) {
+      emit_eff_[p] = 0.0;
+    } else {
+      emit_eff_[p] = emit_prod_[p];
     }
   }
 }
@@ -148,6 +178,7 @@ void ProbGainCalculator::update_factor(NetId n, NodeId p, double old_p,
       !(prod >= kRenormMagLo && prod <= kRenormMagHi)) {
     renormalize_slot(n, p);
   }
+  refresh_eff(s);
 }
 
 void ProbGainCalculator::set_probability(NodeId u, double p) {
@@ -203,10 +234,21 @@ void ProbGainCalculator::move_locked(NodeId u, NodeId from_part) {
   }
   const NodeId to = state_->part(u);
   // Locked pins are outside every free product, so only the locked-pin
-  // table moves parts.
+  // table moves parts, and with it the effective products of both slots:
+  // `to` now holds a locked pin, and `from` may have lost its last lock or
+  // its last pin.
+  const bool cached = maintains_cache();
   for (const NetId n : state_->graph().nets_of(u)) {
-    --locked_pins_[slot(n, from_part)];
+    const std::size_t from_slot = slot(n, from_part);
+    --locked_pins_[from_slot];
     ++locked_pins_[slot(n, to)];
+    if (!cached) continue;
+    eff_[slot(n, to)] = 0.0;
+    if (state_->pins_in(n, from_part) == 0) {
+      eff_[from_slot] = 1.0;
+    } else {
+      refresh_eff(from_slot);
+    }
   }
 }
 
@@ -262,25 +304,28 @@ double ProbGainCalculator::scratch_gain(NodeId u, NodeId to) const {
 }
 
 double ProbGainCalculator::cached_gain(NodeId u, NodeId to) const {
+  const Hypergraph& g = state_->graph();
   const NodeId a = state_->part(u);
   double total = 0.0;
-  for (const NetId n : state_->graph().nets_of(u)) {
-    add_cached_term(n, to, cached_source(n, a, u), total);
+  for (const NetId n : g.nets_of(u)) {
+    total += g.net_cost(n) * (cached_excl(n, a, u) - eff_[slot(n, to)]);
   }
   return total;
 }
 
 void ProbGainCalculator::cached_gains(NodeId u, double* out) const {
+  const Hypergraph& g = state_->graph();
   const NodeId a = state_->part(u);
   std::fill_n(out, k_, 0.0);
-  // Same terms in the same nets_of(u) order as cached_gain, per target.
-  for (const NetId n : state_->graph().nets_of(u)) {
-    const SourceTerm src = cached_source(n, a, u);
-    for (NodeId i = 0; i + 1 < k_; ++i) {
-      const NodeId to = target(a, i);
-      add_cached_term(n, to, src, out[to]);
-    }
+  // Same terms in the same nets_of(u) order as cached_gain, per part; the
+  // source part's own total is discarded.
+  for (const NetId n : g.nets_of(u)) {
+    const double* eff = eff_.data() + slot(n, 0);
+    const double c = g.net_cost(n);
+    const double excl = cached_excl(n, a, u);
+    for (NodeId p = 0; p < k_; ++p) out[p] += c * (excl - eff[p]);
   }
+  out[a] = 0.0;
 }
 
 void ProbGainCalculator::check_shadow(NodeId u, NodeId to, double cached,
@@ -390,6 +435,19 @@ void ProbGainCalculator::audit_consistency() const {
         msg << "prob gain audit: cached product drifted (net " << n
             << " part " << p << "): cached " << cached << " vs scratch "
             << prod;
+        throw std::logic_error(msg.str());
+      }
+      double eff = cached;
+      if (state_->pins_in(n, p) == 0) {
+        eff = 1.0;
+      } else if (part_locked(n, p) || zero_free_[slot(n, p)] > 0) {
+        eff = 0.0;
+      }
+      if (eff_[slot(n, p)] != eff) {
+        std::ostringstream msg;
+        msg << "prob gain audit: effective product out of sync (net " << n
+            << " part " << p << "): cached " << eff_[slot(n, p)]
+            << " vs " << eff;
         throw std::logic_error(msg.str());
       }
     }

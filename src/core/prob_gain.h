@@ -24,11 +24,14 @@
 //     pins of net n in part p with p(v) != 0, plus a zero-factor counter
 //     and a cached reciprocal 1/p(v) per node, updated in O(1) per
 //     set_probability / lock by multiplication (no divisions on the hot
-//     path).  gain(u, to) is then O(degree(u)), gains(u, out) serves all
-//     k - 1 targets in one O(degree(u)) walk over u's nets, and
-//     for_each_net_gain is O(|n| * (k - 1)) with no per-call product
-//     pass; (v, to) pairs whose source and target part both hold a locked
-//     pin contribute exactly zero and are skipped.  Floating-point drift
+//     path).  Beside them it keeps the slot's effective removal product
+//     eff[n*k+p]: 1 for a part with no pin of n, 0 for a part holding a
+//     locked pin or a free pin with p == 0, prod otherwise.  Every gain
+//     term is then c(n) * (eff[n*k+a] / p(u) - eff[n*k+to]) — the
+//     Eqn. 4 case is the eff == 1 target — so gain(u, to) is O(degree(u)),
+//     gains(u, out) serves all k - 1 targets in one branch-free walk over
+//     one k-wide row per net of u, and for_each_net_gain is
+//     O(|n| * (k - 1)) with no per-call product pass.  Floating-point drift
 //     from the incremental updates is bounded by epoch renormalization:
 //     after kRenormInterval updates of a (net, part) slot — or whenever
 //     its product leaves [kRenormMagLo, kRenormMagHi] or stops being
@@ -49,6 +52,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
@@ -114,11 +119,12 @@ class ProbGainCalculator {
 
   /// gains(u, out) at the state the last reset_uniform(p) left, from pin
   /// counts and 1/p alone: the source term of each net is pow[m_a] / p (as
-  /// pow[m_a] * (1 / p)) and a touched target's removal product is
-  /// pow[m_to].  It does not read the probabilities set since, so a caller
-  /// can interleave it with the set_probability sweep of the first Jacobi
-  /// iteration.  Bit-identical to gains(u, out) of the cached engine right
-  /// after reset_uniform; valid while every node stays in its part.
+  /// pow[m_a] * (1 / p)) and every target's effective product is
+  /// pow[m_to] (pow[0] == 1 for a part the net has no pin in).  It does not
+  /// read the probabilities set since, so a caller can interleave it with
+  /// the set_probability sweep of the first Jacobi iteration.
+  /// Bit-identical to gains(u, out) of the cached engine right after
+  /// reset_uniform; valid while every node stays in its part.
   void uniform_gains(NodeId u, double* out) const;
 
   bool is_free(NodeId u) const noexcept { return locked_[u] == 0; }
@@ -146,14 +152,13 @@ class ProbGainCalculator {
   /// All-targets gain kernel: fills out[to] with gain(u, to) for every
   /// to != part(u), and out[part(u)] with 0; `out` must hold k entries.
   /// Each out[to] is bit-identical to gain(u, to) in every engine.  The
-  /// cached engine makes ONE walk over u's nets: each net's source-part
-  /// term is computed once, and a target part's cached slot is read only
-  /// when the net has a pin in that part — a part with no pin holds no
-  /// locked pin, so it takes the net's hoisted Eqn. 4 term.  That is
-  /// O(degree(u)) net visits (O(degree(u) * k) pin-count reads) instead of
-  /// k - 1 separate gain() walks.  kScratch returns scratch_gain(u, to) per
-  /// target; kShadow returns the scratch answers after cross-checking the
-  /// fused cached totals (std::logic_error past kProductAuditTol).
+  /// cached engine makes ONE walk over u's nets and adds
+  /// c(n) * (excl - eff[n*k+to]) to every part's total from the net's
+  /// contiguous eff row, with no branch per target: O(degree(u) * k)
+  /// reads instead of k - 1 separate gain() walks.  kScratch returns
+  /// scratch_gain(u, to) per target; kShadow returns the scratch answers
+  /// after cross-checking the fused cached totals (std::logic_error past
+  /// kProductAuditTol).
   void gains(NodeId u, double* out) const;
 
   /// Gain restricted to one net, always computed from scratch by explicit
@@ -170,16 +175,12 @@ class ProbGainCalculator {
   /// order, and every target part to != part(v), in ascending order.
   /// Summing the emissions for (v, to) over v's nets equals gain(v, to);
   /// the 2-way PROP pass uses before/after deltas of this per net touched
-  /// by a move.
-  ///
-  /// The cached engine reads the part products straight from the cache,
-  /// excludes each pin's own probability by multiplying with its cached
-  /// reciprocal, and emits no pair whose source and target part both hold
-  /// a locked pin (the pair's contribution is exactly 0 for the rest of the
-  /// pass — at k = 2 that is a whole frozen net).  The scratch/shadow
-  /// engines compute the products with one pin pass, divide each pin's
-  /// probability back out, and emit every pair, zero contributions
-  /// included.
+  /// by a move.  Each emission is c(n) * (excl - eff[to]) over the net's
+  /// effective row: the cached row itself, or under scratch/shadow a row
+  /// recomputed with one pin pass.  The cached engine emits nothing for a
+  /// net whose every part holds a locked pin (at k = 2, a frozen net); a
+  /// frozen pair of any other net (locked pins in both its parts, so both
+  /// products are 0) is emitted as +0.0, as the scratch engine emits it.
   template <typename Emit>
   void for_each_net_gain(NetId n, Emit&& emit) const {
     const KWayState& state = *state_;
@@ -188,46 +189,24 @@ class ProbGainCalculator {
     const double c = g.net_cost(n);
     const bool cached = engine_ == GainEngine::kCached;
 
-    // Per-part (product of nonzero free-pin p, count of free pins with
-    // p == 0): copied from the cache, or recomputed with one pin pass.
     if (cached) {
-      // Every part holds a locked pin: every pair is frozen.
       NodeId p = 0;
       while (p < k_ && part_locked(n, p)) ++p;
       if (p == k_) return;
-      std::copy_n(prod_.begin() + slot(n, 0), k_, emit_prod_.begin());
-      std::copy_n(zero_free_.begin() + slot(n, 0), k_, emit_zeros_.begin());
     } else {
-      std::fill(emit_prod_.begin(), emit_prod_.end(), 1.0);
-      std::fill(emit_zeros_.begin(), emit_zeros_.end(), 0u);
-      for (const NodeId v : pins) {
-        if (locked_[v]) continue;
-        const NodeId pv = state.part(v);
-        if (p_[v] == 0.0) {
-          ++emit_zeros_[pv];
-        } else {
-          emit_prod_[pv] *= p_[v];
-        }
-      }
+      scratch_row(n);
     }
+    const double* eff = cached ? eff_.data() + slot(n, 0) : emit_eff_.data();
     for (const NodeId v : pins) {
       if (locked_[v]) continue;
       const NodeId a = state.part(v);
-      const bool a_blocked = part_locked(n, a);
-      const SourceTerm src(c, a_blocked,
-                           excl_product(a_blocked, emit_zeros_[a],
-                                        emit_prod_[a], v, cached));
+      const double excl =
+          cached ? cached_excl(n, a, v)
+                 : excl_product(part_locked(n, a), emit_zeros_[a],
+                                emit_prod_[a], v, false);
       for (NodeId i = 0; i + 1 < k_; ++i) {
         const NodeId to = target(a, i);
-        const bool to_blocked = part_locked(n, to);
-        if (cached && a_blocked && to_blocked) continue;
-        if (state.pins_in(n, to) == 0) {
-          emit(v, to, src.no_pin);
-          continue;
-        }
-        const double prod_to =
-            (to_blocked || emit_zeros_[to] > 0) ? 0.0 : emit_prod_[to];
-        emit(v, to, src.touched(prod_to));
+        emit(v, to, c * (excl - eff[to]));
       }
     }
   }
@@ -237,6 +216,14 @@ class ProbGainCalculator {
   /// p(n^{1->2}) when `from` is its side 1.  Computed from the pins.
   double removal_probability(NetId n, NodeId from) const;
 
+  /// The product cache's slot (n, p): the product of nonzero free-pin
+  /// probabilities and the count of free pins with p == 0, as kCached and
+  /// kShadow hold them.  Test instrument: the oracle of the kernel
+  /// differential test reads these fields.
+  std::pair<double, std::uint32_t> cached_slot(NetId n, NodeId p) const {
+    return {prod_[slot(n, p)], zero_free_[slot(n, p)]};
+  }
+
   /// Max |cached product - scratch recompute| over all (net, part) slots;
   /// 0 under the scratch engine.  O(pins * k); telemetry/test instrument.
   double max_product_drift() const;
@@ -245,9 +232,11 @@ class ProbGainCalculator {
   /// from the lock flags and the state, checks probability bounds
   /// (locked => p == 0, free => p in [0, 1]) and — when the cache is
   /// maintained (kCached/kShadow) — cross-checks every zero-factor counter
-  /// and cached reciprocal exactly and every cached product against the
-  /// scratch oracle within kProductAuditTol.  Throws std::logic_error on
-  /// any mismatch.  O(pins * k); used by PROP's audit_interval mode.
+  /// and cached reciprocal exactly, every cached product against the
+  /// scratch oracle within kProductAuditTol, and every effective product
+  /// exactly against its definition from the other cached fields.  Throws
+  /// std::logic_error on any mismatch.  O(pins * k); used by PROP's
+  /// audit_interval mode.
   void audit_consistency() const;
 
  private:
@@ -271,14 +260,6 @@ class ProbGainCalculator {
     return i + static_cast<NodeId>(i >= a);
   }
 
-  /// Cached removal product of part p of net n (0 if p holds a locked pin
-  /// or a free pin with p == 0).
-  double cached_part_product(NetId n, NodeId p) const noexcept {
-    return (part_locked(n, p) || zero_free_[slot(n, p)] > 0)
-               ? 0.0
-               : prod_[slot(n, p)];
-  }
-
   /// Product over the free pins of one part excluding its free pin v, given
   /// the part's blocked flag, zero-factor count and nonzero-factor product.
   /// The cached engine removes v's factor with its cached reciprocal, the
@@ -291,52 +272,27 @@ class ProbGainCalculator {
     return cached ? prod * recip_[v] : prod / p_[v];
   }
 
-  /// The source-part half of g_n(v -> to) for a free pin v of net n in
-  /// part a, shared by every target: the net cost, whether a holds a
-  /// locked pin, v's excluded removal product of a, and the whole term of
-  /// a target the net has no pin in (generalized Eqn. 4: moving v spreads
-  /// the net into a new part, and it stays spread unless everyone else in
-  /// a follows).
-  struct SourceTerm {
-    SourceTerm(double cost, bool a_blocked, double prod_a_excl) noexcept
-        : c(cost),
-          excl(prod_a_excl),
-          no_pin(-cost * (1.0 - prod_a_excl)),
-          blocked(a_blocked) {}
-
-    /// g_n(v -> to) for a target the net already touches, given its removal
-    /// product (generalized Eqn. 3: moving v helps complete the a -> to
-    /// evacuation and precludes the to -> a one).
-    double touched(double prod_to) const noexcept {
-      return c * (excl - prod_to);
-    }
-
-    double c;
-    double excl;
-    double no_pin;
-    bool blocked;
-  };
-
-  /// SourceTerm of free node u (in part a) on net n from the cache.
-  SourceTerm cached_source(NetId n, NodeId a, NodeId u) const noexcept {
-    const bool blocked = part_locked(n, a);
-    return SourceTerm(
-        state_->graph().net_cost(n), blocked,
-        excl_product(blocked, zero_free_[slot(n, a)], prod_[slot(n, a)], u,
-                     true));
+  /// True when removing v's factor from an effective product is one
+  /// multiply: p(v) > 0 with a finite reciprocal.  eff * (1/p(v)) is then
+  /// excl_product bit for bit (a blocked or zero-factor part has eff == 0,
+  /// and 0 * finite == 0); otherwise (p == 0, or a subnormal p whose
+  /// reciprocal overflows) only the branchy form is exact.
+  bool multiplies_out(NodeId v) const noexcept {
+    return recip_[v] != 0.0 &&
+           recip_[v] <= std::numeric_limits<double>::max();
   }
 
-  /// Adds the cached g_n(u -> to) to `total`; the target's slot is read
-  /// only when the net has a pin in `to`, and a frozen pair (locked pins in
-  /// both the source and the target part: both removal products are 0)
-  /// adds nothing.  The one per-net term of cached_gain and gains().
-  void add_cached_term(NetId n, NodeId to, const SourceTerm& src,
-                       double& total) const noexcept {
-    if (state_->pins_in(n, to) == 0) {
-      total += src.no_pin;
-    } else if (!(src.blocked && part_locked(n, to))) {
-      total += src.touched(cached_part_product(n, to));
-    }
+  /// v's excluded removal product of its part a on net n, from the cache.
+  double cached_excl(NetId n, NodeId a, NodeId v) const noexcept {
+    const std::size_t s = slot(n, a);
+    return multiplies_out(v) ? eff_[s] * recip_[v]
+                             : excl_product(locked_pins_[s] > 0,
+                                            zero_free_[s], prod_[s], v, true);
+  }
+
+  /// eff_ of an occupied slot from its other cached fields.
+  void refresh_eff(std::size_t s) noexcept {
+    eff_[s] = locked_pins_[s] > 0 || zero_free_[s] > 0 ? 0.0 : prod_[s];
   }
 
   /// gain(u, to) computed from the cached products — the kCached fast
@@ -366,6 +322,10 @@ class ProbGainCalculator {
   void scratch_part(NetId n, NodeId p, double& prod,
                     std::uint32_t& zeros) const;
 
+  /// Fills emit_prod_, emit_zeros_ and emit_eff_ for net n with one pin
+  /// pass (the scratch/shadow side of for_each_net_gain).
+  void scratch_row(NetId n) const;
+
   const KWayState* state_;
   NodeId k_;
   GainEngine engine_;
@@ -374,10 +334,11 @@ class ProbGainCalculator {
   std::vector<std::uint8_t> locked_;
   std::vector<std::uint32_t> locked_pins_;  // locked pins per (net, part)
 
-  // Cached-engine state; unused (empty) under kScratch.  prod_, zero_free_
-  // and updates_ have one slot per (net, part); recip_ caches 1/p per node
-  // so factor removal and pin exclusion are multiplies, not divides.
+  // Cached-engine state; unused (empty) under kScratch.  prod_, zero_free_,
+  // updates_ and eff_ have one slot per (net, part); recip_ caches 1/p per
+  // node so factor removal and pin exclusion are multiplies, not divides.
   std::vector<double> prod_;              // product of nonzero free-pin p
+  std::vector<double> eff_;               // effective removal product
   std::vector<std::uint32_t> zero_free_;  // free pins with p == 0
   std::vector<std::uint32_t> updates_;    // incremental updates this epoch
   std::vector<double> recip_;             // 1/p, 0 where p == 0
@@ -392,6 +353,7 @@ class ProbGainCalculator {
   // for_each_net_gain must not be re-entered from its own callback.
   mutable std::vector<double> emit_prod_;
   mutable std::vector<std::uint32_t> emit_zeros_;
+  mutable std::vector<double> emit_eff_;
 };
 
 }  // namespace prop

@@ -201,7 +201,8 @@ TEST(ProbGainProperty, CachedMatchesScratchOracleUnderRandomSequences) {
 /// Summed per-net emissions are the total gain: for every node v and
 /// target to, the sum of for_each_net_gain's (v, to) emissions over v's
 /// nets matches scratch_gain(v, to), on a mid-pass state with locked pins
-/// in every part (so frozen pairs are skipped by the cached engine).
+/// in every part (so the cached engine skips fully locked nets and emits
+/// frozen pairs as +0.0).
 TEST(ProbGainProperty, EmissionSumsMatchScratchGainAtK4) {
   const NodeId k = 4;
   const Hypergraph g = property_circuit(61);
