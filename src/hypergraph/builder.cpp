@@ -27,7 +27,6 @@ void HypergraphBuilder::set_node_size(NodeId u, std::int64_t size) {
 }
 
 Hypergraph HypergraphBuilder::build() && {
-  Hypergraph g;
   const NetId e = num_nets();
 
   // Deduplicate pins within each net (a component can touch a net through
@@ -50,9 +49,31 @@ Hypergraph HypergraphBuilder::build() && {
     clean_offsets.push_back(clean_pins.size());
   }
 
-  g.net_offsets_ = std::move(clean_offsets);
-  g.net_pins_ = std::move(clean_pins);
-  g.net_costs_ = std::move(net_costs_);
+  return assemble(std::move(clean_offsets), std::move(clean_pins),
+                  std::move(net_costs_));
+}
+
+Hypergraph HypergraphBuilder::build_clean(std::vector<std::size_t> offsets,
+                                          std::vector<NodeId> pins,
+                                          std::vector<double> costs) && {
+  if (!net_costs_.empty()) {
+    throw std::logic_error("build_clean: builder already holds nets");
+  }
+  if (offsets.size() != costs.size() + 1 || offsets.front() != 0 ||
+      offsets.back() != pins.size()) {
+    throw std::invalid_argument("build_clean: offsets do not match nets");
+  }
+  return assemble(std::move(offsets), std::move(pins), std::move(costs));
+}
+
+Hypergraph HypergraphBuilder::assemble(std::vector<std::size_t> offsets,
+                                       std::vector<NodeId> pins,
+                                       std::vector<double> costs) {
+  Hypergraph g;
+  const auto e = static_cast<NetId>(costs.size());
+  g.net_offsets_ = std::move(offsets);
+  g.net_pins_ = std::move(pins);
+  g.net_costs_ = std::move(costs);
   g.node_sizes_ = std::move(node_sizes_);
   g.name_ = std::move(name_);
 

@@ -6,8 +6,9 @@
 //   b.add_net({1, 2}, 2.5);          // weighted net
 //   Hypergraph g = std::move(b).build();
 //
-// build() validates pin ids, deduplicates repeated pins within a net, and
-// constructs both CSR incidence directions.
+// add_net() validates pin ids, build() deduplicates repeated pins within a
+// net, and both construct the two CSR incidence directions; build_clean()
+// takes nets that are already valid and deduplicated.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,26 @@ class HypergraphBuilder {
   /// Consumes the builder and produces the immutable hypergraph.
   Hypergraph build() &&;
 
+  /// Consumes the builder and produces the hypergraph of nets handed over
+  /// in CSR form — net j has pins pins[offsets[j] .. offsets[j + 1]) and
+  /// cost costs[j] — moving the buffers in without a copy.  The nets must
+  /// already be clean (every pin < num_nodes(), no pin twice in a net,
+  /// every cost positive); they are not checked again, only the offsets'
+  /// shape is (std::invalid_argument).  contract() hands
+  /// over merge_nets' sorted, deduplicated pin sets this way.  Node sizes
+  /// and the name come from the builder, which must hold no add_net net
+  /// (std::logic_error otherwise).
+  Hypergraph build_clean(std::vector<std::size_t> offsets,
+                         std::vector<NodeId> pins,
+                         std::vector<double> costs) &&;
+
  private:
+  /// Moves clean CSR nets and the builder's node data into a hypergraph
+  /// and derives the node -> nets transpose and the summary fields; the
+  /// shared tail of build() and build_clean().
+  Hypergraph assemble(std::vector<std::size_t> offsets,
+                      std::vector<NodeId> pins, std::vector<double> costs);
+
   NodeId num_nodes_ = 0;
   std::vector<std::size_t> net_offsets_{0};
   std::vector<NodeId> net_pins_;

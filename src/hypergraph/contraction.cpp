@@ -135,13 +135,12 @@ ContractionResult contract(const Hypergraph& g,
   }
 
   // Nets map to cluster pin sets; nets inside one cluster disappear and
-  // identical parallel nets merge with summed cost.
-  const MergedNets nets = merge_nets(g, fine_to_coarse);
-  for (std::size_t j = 0; j < nets.size(); ++j) {
-    builder.add_net(nets.pins_of(j), nets.costs[j]);
-  }
-
-  return ContractionResult{std::move(builder).build(), std::move(fine_to_coarse)};
+  // identical parallel nets merge with summed cost.  The merged sets are
+  // sorted and deduplicated, so they become the coarse CSR as they are.
+  MergedNets nets = merge_nets(g, fine_to_coarse);
+  Hypergraph coarse = std::move(builder).build_clean(
+      std::move(nets.offsets), std::move(nets.pins), std::move(nets.costs));
+  return ContractionResult{std::move(coarse), std::move(fine_to_coarse)};
 }
 
 }  // namespace prop

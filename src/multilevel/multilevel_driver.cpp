@@ -34,7 +34,8 @@ MultilevelResult multilevel_partition(const Hypergraph& g,
   MultilevelResult out;
 
   // Phase 1: coarsen until small, stalled, or out of levels.
-  const std::deque<CoarseLevel> levels = coarsen(g, seed, config, 2, ctx);
+  std::deque<CoarseLevel> levels = coarsen(g, seed, config, 2, ctx);
+  // Valid until phase 3 frees the levels.
   const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
   out.levels = static_cast<int>(levels.size());
   out.coarsest_nodes = coarsest.num_nodes();
@@ -64,8 +65,9 @@ MultilevelResult multilevel_partition(const Hypergraph& g,
   }
 
   // Phase 3: uncoarsen — refine at every level, then project one level
-  // down.  After a stop the remaining levels are still projected and
-  // legalized (never refined), so the flat result is always valid.
+  // down and free the level.  After a stop the remaining levels are still
+  // projected and legalized (never refined), so the flat result is always
+  // valid.
   const auto refine_level = [&](const Hypergraph& lg,
                                 const BalanceConstraint& lb) {
     Partition part(lg, sides);
@@ -85,10 +87,11 @@ MultilevelResult multilevel_partition(const Hypergraph& g,
   };
 
   double cut = 0.0;
-  for (std::size_t i = levels.size(); i-- > 0;) {
-    const Hypergraph& lg = levels[i].graph;
+  while (!levels.empty()) {
+    const Hypergraph& lg = levels.back().graph;
     cut = refine_level(lg, level_balance(lg, balance));
-    sides = project_partition(levels[i].fine_to_coarse, sides);
+    sides = project_partition(levels.back().fine_to_coarse, sides);
+    levels.pop_back();
   }
   cut = refine_level(g, balance);
 

@@ -41,8 +41,8 @@ PartitionResult MultilevelKWayPartitioner::run(const Hypergraph& g,
 
   // Phase 1: coarsen until small, stalled, or out of levels — never below
   // k nodes.
-  const std::deque<CoarseLevel> levels =
-      coarsen(g, seed, config_, config_.k, ctx);
+  std::deque<CoarseLevel> levels = coarsen(g, seed, config_, config_.k, ctx);
+  // Valid until phase 3 frees the levels.
   const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
 
   // Phase 2: multi-start k-way pipeline on the coarsest graph.
@@ -60,11 +60,12 @@ PartitionResult MultilevelKWayPartitioner::run(const Hypergraph& g,
     if (r.interrupted) break;
   }
 
-  // Phase 3: uncoarsen — project one level down, then refine.  After a
-  // stop the remaining levels are still projected (never refined), so the
-  // flat result is always a valid k-way partition.
+  // Phase 3: uncoarsen — project one level down, free the level, then
+  // refine.  After a stop the remaining levels are still projected (never
+  // refined), so the flat result is always a valid k-way partition.
   for (std::size_t i = levels.size(); i-- > 0;) {
     best.part = project_partition(levels[i].fine_to_coarse, best.part);
+    levels.pop_back();
     if (ctx && ctx->should_stop()) continue;
     refine_kway_partition(
         i == 0 ? g : levels[i - 1].graph,

@@ -102,6 +102,66 @@ TEST(Builder, MaxDegreeAndNetSize) {
   EXPECT_EQ(g.max_net_size(), 4u);
 }
 
+/// build_clean() on nets that are already clean builds the graph build()
+/// builds from the same nets: same CSR both ways, costs, node data and
+/// summary fields.
+TEST(Builder, BuildCleanEqualsBuildOnCleanNets) {
+  const std::vector<std::vector<NodeId>> nets = {
+      {0, 1, 2, 3}, {1, 4}, {0, 2}, {3, 4, 5}};
+  const std::vector<double> costs = {1.0, 2.5, 1.0, 3.0};
+  HypergraphBuilder plain(6);
+  HypergraphBuilder clean(6);
+  std::vector<std::size_t> offsets{0};
+  std::vector<NodeId> pins;
+  for (std::size_t j = 0; j < nets.size(); ++j) {
+    plain.add_net(nets[j], costs[j]);
+    pins.insert(pins.end(), nets[j].begin(), nets[j].end());
+    offsets.push_back(pins.size());
+  }
+  for (HypergraphBuilder* b : {&plain, &clean}) {
+    b->set_node_size(2, 7);
+    b->set_name("clean");
+  }
+  const Hypergraph want = std::move(plain).build();
+  const Hypergraph got = std::move(clean).build_clean(offsets, pins, costs);
+
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  ASSERT_EQ(got.num_nets(), want.num_nets());
+  for (NetId n = 0; n < want.num_nets(); ++n) {
+    EXPECT_TRUE(std::ranges::equal(got.pins_of(n), want.pins_of(n)));
+    EXPECT_EQ(got.net_cost(n), want.net_cost(n));
+  }
+  for (NodeId u = 0; u < want.num_nodes(); ++u) {
+    EXPECT_TRUE(std::ranges::equal(got.nets_of(u), want.nets_of(u)));
+    EXPECT_EQ(got.node_size(u), want.node_size(u));
+  }
+  EXPECT_EQ(got.name(), want.name());
+  EXPECT_EQ(got.total_node_size(), want.total_node_size());
+  EXPECT_EQ(got.unit_net_costs(), want.unit_net_costs());
+  EXPECT_EQ(got.unit_node_sizes(), want.unit_node_sizes());
+  EXPECT_EQ(got.max_degree(), want.max_degree());
+  EXPECT_EQ(got.max_net_size(), want.max_net_size());
+}
+
+TEST(Builder, BuildCleanRejectsMismatchedInput) {
+  {
+    HypergraphBuilder b(3);
+    b.add_net({0, 1});
+    EXPECT_THROW(std::move(b).build_clean({0, 2}, {1, 2}, {1.0}),
+                 std::logic_error);
+  }
+  {
+    HypergraphBuilder b(3);
+    EXPECT_THROW(std::move(b).build_clean({0, 2}, {1, 2}, {1.0, 1.0}),
+                 std::invalid_argument);
+  }
+  {
+    HypergraphBuilder b(3);
+    EXPECT_THROW(std::move(b).build_clean({0, 3}, {1, 2}, {1.0}),
+                 std::invalid_argument);
+  }
+}
+
 /// Every node's nets_of list is strictly ascending by net id.  The PROP
 /// gain sweeps rely on it: a node-major gain sum over nets_of(u) then adds
 /// its per-net terms in the order a net-major sweep would (DESIGN.md §4f).
