@@ -14,6 +14,12 @@
 //                  updates and rollback.
 //   * end-to-end:  PropPartitioner via run_many, wall time per run.
 //
+// Plus one k = 8 row, always on industry2 whatever circuits are selected:
+//   * gains-k8:    random fused gains(u, out) reads — all seven targets of
+//                  a node in one call, the k-way refiner's neighbour
+//                  re-evaluation — on a mixed 8-way state (O(deg * k)
+//                  cached vs O((k - 1) * deg * netsize) scratch).
+//
 // The steady-state timed regions of the first three kernels must allocate
 // nothing (global operator new is counted; a nonzero count is a hard
 // failure, exit 6) — that is the "per-pass workspace is hoisted" invariant
@@ -239,6 +245,71 @@ Timed run_gain_query(const prop::Hypergraph& g, prop::KWayState& state,
   return t;
 }
 
+// --- gains-k8 kernel -------------------------------------------------------
+// The gain-query state at k = 8: uniformly random parts (stream 19),
+// randomized probabilities (stream 11), ~10% of nodes locked (stream 13,
+// every other locked node also moved to a random other part), then
+// `queries` random gains(u, out) reads over the free nodes (stream 17).
+constexpr NodeId kGainsK = 8;
+
+Timed run_gains_k8(const prop::Hypergraph& g, GainEngine engine,
+                   std::uint64_t queries, std::uint64_t seed) {
+  const auto n = static_cast<NodeId>(g.num_nodes());
+  prop::Rng part_rng(prop::mix_seed(seed, 19));
+  std::vector<NodeId> parts(n);
+  for (auto& p : parts) p = static_cast<NodeId>(part_rng.bounded(kGainsK));
+  prop::KWayState state(g, std::move(parts), kGainsK);
+  prop::ProbGainCalculator calc(state, engine);
+  calc.reset();
+
+  prop::Rng prng(prop::mix_seed(seed, 11));
+  for (NodeId u = 0; u < n; ++u) {
+    calc.set_probability(u, 0.4 + 0.55 * prng.uniform());
+  }
+  prop::Rng lrng(prop::mix_seed(seed, 13));
+  bool move_this = false;
+  std::vector<NodeId> free_nodes;
+  free_nodes.reserve(n);
+  for (NodeId u = 0; u < n; ++u) {
+    if (lrng.chance(0.1)) {
+      const NodeId from = state.part(u);
+      calc.lock(u);
+      if (move_this) {
+        const auto i = static_cast<NodeId>(lrng.bounded(kGainsK - 1));
+        state.move(u, i < from ? i : i + 1);
+        calc.move_locked(u, from);
+      }
+      move_this = !move_this;
+    } else {
+      free_nodes.push_back(u);
+    }
+  }
+
+  prop::Rng qrng(prop::mix_seed(seed, 17));
+  const auto pool = static_cast<std::int64_t>(free_nodes.size());
+  double out[kGainsK];
+  const auto query = [&] {
+    const auto i = static_cast<std::size_t>(qrng.range(0, pool - 1));
+    calc.gains(free_nodes[i], out);
+    double sum = 0.0;
+    for (const double x : out) sum += x;
+    return sum;
+  };
+  double acc = 0.0;
+  for (int w = 0; w < 1000; ++w) acc += query();  // warmup
+  const std::uint64_t allocs_before = g_allocations.load();
+  prop::WallTimer wall;
+  prop::ThreadCpuTimer cpu;
+  for (std::uint64_t q = 0; q < queries; ++q) {
+    acc += query();
+  }
+  const Timed t{wall.seconds(), cpu.seconds()};
+  assert_no_allocs("gains-k8", "industry2",
+                   g_allocations.load() - allocs_before);
+  g_sink += acc;
+  return t;
+}
+
 // --- move-update kernel ----------------------------------------------------
 // Repeated PropRefiner passes: the production move loop (speculative move of
 // every feasible node with lock / move_locked / neighbor set_probability
@@ -357,11 +428,53 @@ int main(int argc, char** argv) {
   };
   std::vector<std::pair<std::string, Aggregate>> totals = {
       {"bootstrap", {}}, {"gain-query", {}}, {"move-update", {}},
-      {"end-to-end", {}}};
+      {"end-to-end", {}}, {"gains-k8", {}}};
   const auto add_total = [&](const std::string& kernel, int engine_idx,
                              double wall) {
     for (auto& [name, agg] : totals) {
       if (name == kernel) agg.wall[engine_idx] += wall;
+    }
+  };
+
+  // Measures one {kernel, circuit, engine} cell and records its row; the
+  // scratch cell (e == 0) comes first and leaves its wall time for the
+  // cached cell's speedup.
+  const auto record = [&](const char* kernel, const std::string& circuit,
+                          std::uint64_t ops, int e, double& scratch_wall,
+                          const auto& measure) {
+    // Min-of-K: wall time on a shared host is one-sided noise (cache
+    // evictions, scheduler preemption only ever slow a run down), so the
+    // minimum is the stable estimator the regression gate needs.
+    Timed t = measure();
+    for (int m = 1; m < min_of; ++m) {
+      const Timed s = measure();
+      if (s.wall < t.wall) t = s;
+    }
+
+    Row row;
+    row.kernel = kernel;
+    row.circuit = circuit;
+    row.engine = prop::to_string(engines[e]);
+    row.ops = ops;
+    row.wall_seconds = t.wall;
+    row.cpu_seconds = t.cpu;
+    if (e == 0) {
+      scratch_wall = t.wall;
+    } else if (t.wall > 0.0) {
+      row.speedup_vs_scratch = scratch_wall / t.wall;
+    }
+    rows.push_back(row);
+    add_total(kernel, e, t.wall);
+
+    if (e == 1) {
+      std::printf("%-12s %-10s %-8s %12llu %12.4f %8.2fx\n", kernel,
+                  circuit.c_str(), row.engine.c_str(),
+                  static_cast<unsigned long long>(row.ops), t.wall,
+                  row.speedup_vs_scratch);
+    } else {
+      std::printf("%-12s %-10s %-8s %12llu %12.4f %9s\n", kernel,
+                  circuit.c_str(), row.engine.c_str(),
+                  static_cast<unsigned long long>(row.ops), t.wall, "-");
     }
   };
 
@@ -401,41 +514,17 @@ int main(int argc, char** argv) {
           }
           return run_end_to_end(g, balance, engine, runs, seed, threads);
         };
-        // Min-of-K: wall time on a shared host is one-sided noise (cache
-        // evictions, scheduler preemption only ever slow a run down), so
-        // the minimum is the stable estimator the regression gate needs.
-        Timed t = measure();
-        for (int m = 1; m < min_of; ++m) {
-          const Timed s = measure();
-          if (s.wall < t.wall) t = s;
-        }
-
-        Row row;
-        row.kernel = k.kernel;
-        row.circuit = name;
-        row.engine = prop::to_string(engine);
-        row.ops = k.ops;
-        row.wall_seconds = t.wall;
-        row.cpu_seconds = t.cpu;
-        if (e == 0) {
-          scratch_wall = t.wall;
-        } else if (t.wall > 0.0) {
-          row.speedup_vs_scratch = scratch_wall / t.wall;
-        }
-        rows.push_back(row);
-        add_total(k.kernel, e, t.wall);
-
-        if (e == 1) {
-          std::printf("%-12s %-10s %-8s %12llu %12.4f %8.2fx\n", k.kernel,
-                      name.c_str(), row.engine.c_str(),
-                      static_cast<unsigned long long>(row.ops), t.wall,
-                      row.speedup_vs_scratch);
-        } else {
-          std::printf("%-12s %-10s %-8s %12llu %12.4f %9s\n", k.kernel,
-                      name.c_str(), row.engine.c_str(),
-                      static_cast<unsigned long long>(row.ops), t.wall, "-");
-        }
+        record(k.kernel, name, k.ops, e, scratch_wall, measure);
       }
+    }
+  }
+
+  {
+    const prop::Hypergraph g = prop::make_mcnc_circuit("industry2");
+    double scratch_wall = 0.0;
+    for (int e = 0; e < 2; ++e) {
+      record("gains-k8", "industry2", queries, e, scratch_wall,
+             [&] { return run_gains_k8(g, engines[e], queries, seed); });
     }
   }
 
