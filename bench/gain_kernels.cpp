@@ -313,8 +313,9 @@ Timed run_gains_k8(const prop::Hypergraph& g, GainEngine engine,
 // --- move-update kernel ----------------------------------------------------
 // Repeated PropRefiner passes: the production move loop (speculative move of
 // every feasible node with lock / move_locked / neighbor set_probability
-// cache maintenance, AVL bulk load + updates, best-prefix rollback).  The
-// first pass is the untimed warmup; every later pass must allocate nothing.
+// cache maintenance, gain-container bulk load + updates, best-prefix
+// rollback).  The first pass is the untimed warmup; every later pass must
+// allocate nothing.
 Timed run_move_update(const prop::Hypergraph& g,
                       const std::vector<std::uint8_t>& sides,
                       const prop::BalanceConstraint& balance,

@@ -35,8 +35,8 @@ int main() {
 
   const prop::BalanceConstraint balance = prop::BalanceConstraint::fifty_fifty(g);
 
-  // PROP (AVL-tree based) handles weighted nets natively; FM falls back to
-  // its tree variant — exactly the trade-off discussed in the paper's
+  // PROP (ordered-container based) handles weighted nets natively; FM falls
+  // back to its tree variant — exactly the trade-off discussed in the paper's
   // Sec. 4 timing analysis.
   prop::PropPartitioner prop_algo;
   const prop::MultiRunResult result = prop::run_many(prop_algo, g, balance, 5, 3);

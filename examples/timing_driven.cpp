@@ -4,9 +4,9 @@
 // as short as possible".
 //
 // Pipeline: unit-delay STA over the netlist -> per-net criticality ->
-// net weights 1 + alpha * criticality -> PROP (AVL tree handles weighted
-// nets natively).  Compares how many *critical* nets are cut with and
-// without the weighting.
+// net weights 1 + alpha * criticality -> PROP (its ordered gain container
+// handles weighted nets natively).  Compares how many *critical* nets are
+// cut with and without the weighting.
 //
 //   ./timing_driven [--circuit t5] [--alpha 4] [--runs 10] [--seed 1]
 #include <cstdio>

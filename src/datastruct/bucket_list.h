@@ -4,8 +4,8 @@
 // lists of node handles; a max-gain cursor makes "extract best" amortized
 // O(1) across a pass.  Links live in flat per-handle arrays, so insert,
 // erase and gain updates are true O(1) with no allocation.  Valid only for
-// unit net costs (integer gains); the AVL tree (avl_tree.h) covers the
-// weighted case, exactly as the paper discusses in Sec. 4.
+// unit net costs (integer gains); the ordered container (ordered_gains.h)
+// covers the weighted case, exactly as the paper discusses in Sec. 4.
 #pragma once
 
 #include <cstdint>

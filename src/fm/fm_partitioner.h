@@ -3,7 +3,8 @@
 // Two interchangeable gain containers, matching the paper's Table 4
 // comparison:
 //   * kBucket — the classic O(1) bucket array (requires unit net costs);
-//   * kTree   — the AVL tree, needed for weighted nets and shared with PROP.
+//   * kTree   — the ordered gain container (the paper's AVL tree order),
+//               needed for weighted nets and shared with PROP.
 //
 // A pass virtually moves every node (highest-gain feasible node first,
 // lock after move, classic neighbor updates), then rolls back to the

@@ -3,7 +3,7 @@
 // The same speculative pass discipline as the 2-way PROP refiner
 // (core/prop_partitioner.h) lifted to k parts: every free node carries a
 // probability of moving, gains are the probabilistic per-(net, part)
-// products of core/prob_gain.h, nodes are held in ONE AVL tree keyed by
+// products of core/prob_gain.h, nodes are held in ONE ordered container keyed by
 // their best move (KWayGainEntry: gain + target part), and each pass
 // speculatively moves best-feasible nodes — locking movers, refreshing
 // neighbor gains — then rolls back to the prefix with the best exact

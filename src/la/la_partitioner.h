@@ -1,5 +1,6 @@
 // LA-k bipartitioner: FM-style passes selecting by lexicographic lookahead
-// gain vector (paper Sec. 2).  Gain vectors live in an AVL tree, avoiding
+// gain vector (paper Sec. 2).  Gain vectors live in an ordered container
+// (datastruct/ordered_gains.h), avoiding
 // the Theta(p^k) bucket memory blow-up the paper criticizes.
 #pragma once
 

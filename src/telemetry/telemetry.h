@@ -21,7 +21,8 @@
 
 namespace prop {
 
-/// Operation counts on the pass's gain container (bucket list or AVL tree).
+/// Operation counts on the pass's gain container (bucket list or ordered
+/// container).
 struct GainContainerOps {
   std::uint64_t inserts = 0;
   std::uint64_t erases = 0;
@@ -50,7 +51,7 @@ struct PassStats {
   GainContainerOps ops;
 
   /// Top-of-tree refreshes whose recomputed gain matched the stored value
-  /// within tolerance, skipping the AVL remove/reinsert (PROP only).
+  /// within tolerance, skipping the container's remove/reinsert (PROP only).
   std::uint64_t refresh_skips = 0;
 
   // Invariant-audit observations (zero unless auditing was enabled).

@@ -1,5 +1,5 @@
 // KWayGainEntry inside the gain containers: the target part is a payload,
-// never part of the ordering, so the AVL tree's O(1) cached max, LIFO tie
+// never part of the ordering, so the ordered container's O(1) max, LIFO tie
 // order and assign_sorted bulk load behave exactly as they do for plain
 // double gains (datastruct/kway_gain_entry.h).
 #include "datastruct/kway_gain_entry.h"
@@ -9,13 +9,13 @@
 #include <utility>
 #include <vector>
 
-#include "datastruct/avl_tree.h"
+#include "datastruct/ordered_gains.h"
 #include "util/rng.h"
 
 namespace prop {
 namespace {
 
-using GainTree = AvlTree<KWayGainEntry, KWayGainEntryLess>;
+using GainTree = OrderedGains<KWayGainEntry, KWayGainEntryLess>;
 
 TEST(KWayGainEntryTree, MaxPicksGainNotTarget) {
   GainTree t(8);
@@ -113,7 +113,7 @@ TEST(KWayGainEntryTree, RandomOpsMatchDoubleKeyedReference) {
   // invisible to the structure.
   constexpr GainTree::Handle kCap = 120;
   GainTree entry_tree(kCap);
-  AvlTree<double> double_tree(kCap);
+  OrderedGains<double> double_tree(kCap);
   Rng rng(4242);
   for (int op = 0; op < 8000; ++op) {
     const auto h = static_cast<GainTree::Handle>(rng.bounded(kCap));
