@@ -21,15 +21,19 @@ const char* to_string(GainEngine engine) noexcept {
 
 ProbGainCalculator::ProbGainCalculator(const KWayState& state,
                                        GainEngine engine, int renorm_interval)
+    : ProbGainCalculator(state, DeferReset{}, engine, renorm_interval) {
+  reset();
+}
+
+ProbGainCalculator::ProbGainCalculator(const KWayState& state, DeferReset,
+                                       GainEngine engine, int renorm_interval)
     : state_(&state),
       k_(state.k()),
       engine_(engine),
       renorm_interval_(renorm_interval < 1 ? 1 : renorm_interval),
       emit_prod_(state.k()),
       emit_zeros_(state.k()),
-      emit_eff_(state.k()) {
-  reset();
-}
+      emit_eff_(state.k()) {}
 
 void ProbGainCalculator::reset() {
   const Hypergraph& g = state_->graph();

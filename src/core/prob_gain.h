@@ -92,12 +92,23 @@ class ProbGainCalculator {
   static constexpr double kProductAuditTol = 1e-9;
 
   /// `state` must outlive the calculator; every KWayState::move must be
-  /// bracketed by lock / move_locked (or followed by reset()).
+  /// bracketed by lock / move_locked (or followed by reset()).  Starts in
+  /// reset()'s state: every node free with p = 0.
   explicit ProbGainCalculator(const KWayState& state,
                               GainEngine engine = GainEngine::kCached,
                               int renorm_interval = kDefaultRenormInterval);
   ProbGainCalculator(const KWayState&& state, GainEngine = GainEngine::kCached,
                      int = kDefaultRenormInterval) = delete;
+
+  /// Tag for a caller that starts every pass with reset() or
+  /// reset_uniform() before any other call, as the PROP refiners do.
+  struct DeferReset {};
+  /// Constructs without reset()'s O(nets * k) fill, which that first pass
+  /// start would overwrite; no other member may be called before it.
+  ProbGainCalculator(const KWayState& state, DeferReset, GainEngine engine,
+                     int renorm_interval);
+  ProbGainCalculator(const KWayState&& state, DeferReset, GainEngine,
+                     int) = delete;
 
   GainEngine engine() const noexcept { return engine_; }
 

@@ -450,6 +450,56 @@ TEST(ProbGainProperty, ResetUniformMatchesResetPlusIdOrderSweep) {
   }
 }
 
+TEST(ProbGainProperty, DeferResetMatchesEagerConstructionAtPassStart) {
+  // The refiners construct with DeferReset and start every pass with
+  // reset_uniform (cached engine) or reset() plus a sweep: from that pass
+  // start on, the calculator must be field-for-field the eagerly built one.
+  for (const GainEngine engine :
+       {GainEngine::kCached, GainEngine::kScratch, GainEngine::kShadow}) {
+    for (const NodeId k : {2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << to_string(engine) << " k " << k);
+      const Hypergraph g = wide_net_circuit(29 + k);
+      Rng rng(mix_seed(k, 11));
+      KWayState state = random_state(g, k, rng);
+      ProbGainCalculator eager(state, engine, 3);
+      ProbGainCalculator deferred(state, ProbGainCalculator::DeferReset{},
+                                  engine, 3);
+      for (const bool uniform : {true, false}) {
+        if (uniform) {
+          eager.reset_uniform(0.9);
+          deferred.reset_uniform(0.9);
+        } else {
+          eager.reset();
+          deferred.reset();
+          for (NodeId u = 0; u < g.num_nodes(); ++u) {
+            const double q = random_probability(rng);
+            eager.set_probability(u, q);
+            deferred.set_probability(u, q);
+          }
+        }
+        for (int op = 0; op < 500; ++op) {
+          const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
+          if (!eager.is_free(u)) continue;
+          if (rng.chance(0.7)) {
+            const double q = random_probability(rng);
+            eager.set_probability(u, q);
+            deferred.set_probability(u, q);
+          } else {
+            const NodeId from = state.part(u);
+            eager.lock(u);
+            deferred.lock(u);
+            state.move(u, random_target(state, u, rng));
+            eager.move_locked(u, from);
+            deferred.move_locked(u, from);
+          }
+        }
+        EXPECT_EQ(gain_record(deferred, state), gain_record(eager, state));
+        deferred.audit_consistency();
+      }
+    }
+  }
+}
+
 TEST(ProbGainProperty, ResetUniformEpochCountersAtTheMagnitudeWindow) {
   // Nets of 40..80 pins, all in part 0 but one: at p = 0.01 the products
   // cross kRenormMagLo between two adjacent widths.  The slot right past
