@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -80,15 +81,17 @@ NodeId random_target(const KWayState& state, NodeId u, Rng& rng) {
 
 /// The all-targets kernel against the per-target query, bitwise: for every
 /// node (locked ones included) gains(u, out) must give out[to] ==
-/// gain(u, to) bit for bit for every target and 0 for u's own part.
-/// Reports the first mismatch only.
+/// gain(u, to) bit for bit for every target and 0 for u's own part; and
+/// each out[to] must lie within kProductAuditTol (unscaled) of the
+/// scratch_gain(u, to) oracle.  Reports the first mismatch only.
 void expect_kernel_matches_gain(const ProbGainCalculator& calc,
                                 const KWayState& state, int op) {
   std::vector<double> out(state.k());
   for (NodeId u = 0; u < state.graph().num_nodes(); ++u) {
     calc.gains(u, out.data());
     for (NodeId to = 0; to < state.k(); ++to) {
-      const double want = to == state.part(u) ? 0.0 : calc.gain(u, to);
+      const bool own = to == state.part(u);
+      const double want = own ? 0.0 : calc.gain(u, to);
       const auto got_bits = std::bit_cast<std::uint64_t>(out[to]);
       const auto want_bits = std::bit_cast<std::uint64_t>(want);
       EXPECT_EQ(got_bits, want_bits)
@@ -96,6 +99,15 @@ void expect_kernel_matches_gain(const ProbGainCalculator& calc,
           << " vs " << want << " engine " << to_string(calc.engine())
           << " k " << state.k();
       if (got_bits != want_bits) return;
+      if (own) continue;
+      const double oracle = calc.scratch_gain(u, to);
+      EXPECT_NEAR(out[to], oracle, ProbGainCalculator::kProductAuditTol)
+          << "op " << op << " node " << u << " -> " << to << " engine "
+          << to_string(calc.engine()) << " k " << state.k();
+      if (!(std::abs(out[to] - oracle) <=
+            ProbGainCalculator::kProductAuditTol)) {
+        return;
+      }
     }
   }
 }

@@ -3,9 +3,10 @@
 //   * oracle agreement — cached gains match the per-net scratch oracle
 //     within the audit tolerance, for every node and target, across a
 //     locked-move sequence;
-//   * shadow-mode equivalence — kShadow cross-checks the cache against
-//     scratch on every query and throws past kProductAuditTol, so a clean
-//     shadow run IS the cached-vs-exact equivalence statement at k > 2.
+//   * per-query pass cross-check — a PROP-shaped pass (uniform start,
+//     Jacobi sweeps, lock/move/move_locked, neighbour refresh) on the
+//     cached engine checks every gains() answer against scratch_gain at
+//     kProductAuditTol, at k = 2 (t4), k = 4 and k = 8 (p1).
 // The k = 2 case is the 2-way PROP engine itself; its outputs are pinned
 // byte-for-byte by the GoldenOutput cases FlatPropFortyFive,
 // FlatPropConfigVariants (scratch, shadow, deterministic-gain bootstrap,
@@ -15,9 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/probability_model.h"
 #include "hypergraph/builder.h"
+#include "hypergraph/mcnc_suite.h"
 #include "partition/kway_state.h"
 #include "testutil.h"
 #include "util/rng.h"
@@ -86,36 +92,134 @@ TEST(KWayProbGain, CachedMatchesScratchOracle) {
   cached.audit_consistency();
 }
 
-TEST(KWayProbGain, ShadowModeRunsCleanAtK4) {
-  const Hypergraph g = testing::small_random_circuit(917, 150, 200, 600);
-  const NodeId k = 4;
-  KWayState state(g, random_parts(g, k, 917), k);
-  ProbGainCalculator shadow(state, GainEngine::kShadow);
-  Rng rng(918);
-  shadow.reset();
-  seed_probabilities(shadow, g, rng);
+/// A cached-engine PROP-shaped pass with every gain read cross-checked
+/// against the scratch oracle.  Each pass starts with reset_uniform(pinit)
+/// and two Jacobi sweeps (all gains against the current probabilities,
+/// then all probabilities rewritten), then repeatedly moves the free node
+/// with the best stored gain to its best target (lock, KWayState::move,
+/// move_locked) and refreshes every free neighbour of the mover: a fresh
+/// gains() read and set_probability(from_gain(gain)).  No balance window,
+/// so a pass moves every node once.  Every gains() answer is compared with
+/// scratch_gain(u, to) at kProductAuditTol, unscaled.
+class PassCrossCheck {
+ public:
+  explicit PassCrossCheck(KWayState& state)
+      : state_(state),
+        calc_(state),
+        out_(state.k()),
+        best_gain_(state.graph().num_nodes()),
+        best_to_(state.graph().num_nodes()),
+        stamp_(state.graph().num_nodes(), 0) {}
 
-  // Every query cross-checks cache vs scratch internally; a drift past
-  // kProductAuditTol throws std::logic_error and fails the test.
-  for (int moves = 0; moves < 150; ++moves) {
-    const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
-    if (!shadow.is_free(u)) continue;
-    const NodeId from = state.part(u);
-    NodeId best_to = (from + 1) % k;
-    double best = -1e300;
-    for (NodeId to = 0; to < k; ++to) {
-      if (to == from) continue;
-      const double gain = shadow.gain(u, to);
-      if (gain > best) {
-        best = gain;
-        best_to = to;
+  void run_pass() {
+    const Hypergraph& g = state_.graph();
+    const NodeId n = g.num_nodes();
+    calc_.reset_uniform(model_.pinit);
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      for (NodeId u = 0; u < n; ++u) query(u);
+      for (NodeId u = 0; u < n; ++u) {
+        calc_.set_probability(u, model_.from_gain(best_gain_[u]));
       }
     }
-    shadow.lock(u);
-    state.move(u, best_to);
-    shadow.move_locked(u, from);
+    for (NodeId u = 0; u < n; ++u) query(u);
+    for (;;) {
+      NodeId pick = kInvalidNode;
+      for (NodeId u = 0; u < n; ++u) {
+        if (!calc_.is_free(u)) continue;
+        if (pick == kInvalidNode || best_gain_[u] > best_gain_[pick]) pick = u;
+      }
+      if (pick == kInvalidNode) break;
+      const NodeId from = state_.part(pick);
+      calc_.lock(pick);
+      state_.move(pick, best_to_[pick]);
+      calc_.move_locked(pick, from);
+      ++stamp_value_;
+      for (const NetId net : g.nets_of(pick)) {
+        for (const NodeId v : g.pins_of(net)) {
+          if (!calc_.is_free(v) || stamp_[v] == stamp_value_) continue;
+          stamp_[v] = stamp_value_;
+          query(v);
+          calc_.set_probability(v, model_.from_gain(best_gain_[v]));
+        }
+      }
+    }
+    calc_.audit_consistency();
   }
-  shadow.audit_consistency();
+
+  std::size_t queries() const noexcept { return queries_; }
+  std::size_t mismatches() const noexcept { return mismatches_; }
+  double worst_gap() const noexcept { return worst_gap_; }
+  const std::string& first_mismatch() const noexcept { return first_; }
+
+ private:
+  /// One checked gains() read of u; stores u's best gain and target
+  /// (lowest part id on ties).
+  void query(NodeId u) {
+    calc_.gains(u, out_.data());
+    const NodeId from = state_.part(u);
+    best_to_[u] = from;
+    for (NodeId to = 0; to < state_.k(); ++to) {
+      if (to == from) continue;
+      ++queries_;
+      const double want = calc_.scratch_gain(u, to);
+      const double gap = std::abs(out_[to] - want);
+      if (gap > worst_gap_) worst_gap_ = gap;
+      if (!(gap <= ProbGainCalculator::kProductAuditTol)) {
+        if (mismatches_++ == 0) {
+          std::ostringstream msg;
+          msg << "query " << queries_ << " node " << u << " -> " << to
+              << ": cached " << out_[to] << " vs scratch " << want;
+          first_ = msg.str();
+        }
+      }
+      if (best_to_[u] == from || out_[to] > best_gain_[u]) {
+        best_gain_[u] = out_[to];
+        best_to_[u] = to;
+      }
+    }
+  }
+
+  KWayState& state_;
+  ProbGainCalculator calc_;
+  const ProbabilityModel model_{};
+  std::vector<double> out_;
+  std::vector<double> best_gain_;
+  std::vector<NodeId> best_to_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t stamp_value_ = 0;
+  std::size_t queries_ = 0;
+  std::size_t mismatches_ = 0;
+  double worst_gap_ = 0.0;
+  std::string first_;
+};
+
+/// Two cross-checked passes per circuit from a random partition (the
+/// second starts from the state the first left): a small k = 4 circuit,
+/// t4 at the paper's k = 2 and p1 at k = 8.
+TEST(KWayProbGain, PassCrossCheckEveryQuery) {
+  struct Case {
+    const char* label;
+    Hypergraph g;
+    NodeId k;
+  };
+  const Case cases[] = {
+      {"k4", testing::small_random_circuit(917, 150, 200, 600), 4},
+      {"t4", make_mcnc_circuit("t4"), 2},
+      {"p1", make_mcnc_circuit("p1"), 8},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    KWayState state(c.g, random_parts(c.g, c.k, 917), c.k);
+    PassCrossCheck check(state);
+    for (int pass = 0; pass < 2; ++pass) check.run_pass();
+    EXPECT_EQ(check.mismatches(), 0u) << "first: " << check.first_mismatch();
+    // Three full sweeps per pass plus the neighbour refreshes.
+    EXPECT_GT(check.queries(), 6u * c.g.num_nodes() * (c.k - 1));
+    std::ostringstream summary;
+    summary << check.queries() << " queries, worst gap "
+            << check.worst_gap();
+    RecordProperty(std::string("cross_check_") + c.label, summary.str());
+  }
 }
 
 TEST(KWayProbGain, NetGainOracleMatchesPaperCases) {
