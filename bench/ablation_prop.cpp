@@ -58,13 +58,6 @@ std::vector<Variant> variants() {
   c.model.glo = -2.0;
   v.push_back({"thresholds=+-2", c});
 
-  // Gain-engine ablation (DESIGN.md Sec. 4f): the scratch oracle must match
-  // the cached default on *quality* — only the runtime differs (see
-  // bench/gain_kernels for the wall-clock comparison).
-  c = {};
-  c.gain_engine = prop::GainEngine::kScratch;
-  v.push_back({"engine=scratch", c});
-
   // The V-cycle pass bound (DESIGN.md Sec. 4g) applied to flat PROP: it
   // cuts the long passes a random start needs, which is why only the
   // V-cycles turn it on.

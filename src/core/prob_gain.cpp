@@ -7,33 +7,17 @@
 
 namespace prop {
 
-const char* to_string(GainEngine engine) noexcept {
-  switch (engine) {
-    case GainEngine::kCached:
-      return "cached";
-    case GainEngine::kScratch:
-      return "scratch";
-    case GainEngine::kShadow:
-      return "shadow";
-  }
-  return "?";
-}
-
 ProbGainCalculator::ProbGainCalculator(const KWayState& state,
-                                       GainEngine engine, int renorm_interval)
-    : ProbGainCalculator(state, DeferReset{}, engine, renorm_interval) {
+                                       int renorm_interval)
+    : ProbGainCalculator(state, DeferReset{}, renorm_interval) {
   reset();
 }
 
 ProbGainCalculator::ProbGainCalculator(const KWayState& state, DeferReset,
-                                       GainEngine engine, int renorm_interval)
+                                       int renorm_interval)
     : state_(&state),
       k_(state.k()),
-      engine_(engine),
-      renorm_interval_(renorm_interval < 1 ? 1 : renorm_interval),
-      emit_prod_(state.k()),
-      emit_zeros_(state.k()),
-      emit_eff_(state.k()) {}
+      renorm_interval_(renorm_interval < 1 ? 1 : renorm_interval) {}
 
 void ProbGainCalculator::reset() {
   const Hypergraph& g = state_->graph();
@@ -41,21 +25,19 @@ void ProbGainCalculator::reset() {
   p_.assign(g.num_nodes(), 0.0);
   locked_.assign(g.num_nodes(), 0);
   locked_pins_.assign(slots, 0);
-  if (maintains_cache()) {
-    // Everything is free with p = 0, so each part's product is an empty
-    // product of nonzero factors (1), the zero counter is the part's full
-    // pin count, and the effective product is 0 unless the part is empty.
-    prod_.assign(slots, 1.0);
-    zero_free_.resize(slots);
-    eff_.resize(slots);
-    updates_.assign(slots, 0);
-    recip_.assign(g.num_nodes(), 0.0);
-    for (NetId n = 0; n < g.num_nets(); ++n) {
-      for (NodeId p = 0; p < k_; ++p) {
-        const std::uint32_t m = state_->pins_in(n, p);
-        zero_free_[slot(n, p)] = m;
-        eff_[slot(n, p)] = m == 0 ? 1.0 : 0.0;
-      }
+  // Everything is free with p = 0, so each part's product is an empty
+  // product of nonzero factors (1), the zero counter is the part's full pin
+  // count, and the effective product is 0 unless the part is empty.
+  prod_.assign(slots, 1.0);
+  zero_free_.resize(slots);
+  eff_.resize(slots);
+  updates_.assign(slots, 0);
+  recip_.assign(g.num_nodes(), 0.0);
+  for (NetId n = 0; n < g.num_nets(); ++n) {
+    for (NodeId p = 0; p < k_; ++p) {
+      const std::uint32_t m = state_->pins_in(n, p);
+      zero_free_[slot(n, p)] = m;
+      eff_[slot(n, p)] = m == 0 ? 1.0 : 0.0;
     }
   }
 }
@@ -87,7 +69,6 @@ void ProbGainCalculator::reset_uniform(double p) {
     uniform_pow_[m] = prod;
     uniform_updates_[m] = updates;
   }
-  if (!maintains_cache()) return;
   recip_.assign(g.num_nodes(), uniform_recip_);
   prod_.resize(slots);
   eff_.resize(slots);
@@ -135,29 +116,6 @@ void ProbGainCalculator::scratch_part(NetId n, NodeId p, double& prod,
   }
 }
 
-void ProbGainCalculator::scratch_row(NetId n) const {
-  std::fill(emit_prod_.begin(), emit_prod_.end(), 1.0);
-  std::fill(emit_zeros_.begin(), emit_zeros_.end(), 0u);
-  for (const NodeId v : state_->graph().pins_of(n)) {
-    if (locked_[v]) continue;
-    const NodeId pv = state_->part(v);
-    if (p_[v] == 0.0) {
-      ++emit_zeros_[pv];
-    } else {
-      emit_prod_[pv] *= p_[v];
-    }
-  }
-  for (NodeId p = 0; p < k_; ++p) {
-    if (state_->pins_in(n, p) == 0) {
-      emit_eff_[p] = 1.0;
-    } else if (part_locked(n, p) || emit_zeros_[p] > 0) {
-      emit_eff_[p] = 0.0;
-    } else {
-      emit_eff_[p] = emit_prod_[p];
-    }
-  }
-}
-
 void ProbGainCalculator::renormalize_slot(NetId n, NodeId p) {
   scratch_part(n, p, prod_[slot(n, p)], zero_free_[slot(n, p)]);
   updates_[slot(n, p)] = 0;
@@ -195,14 +153,12 @@ void ProbGainCalculator::set_probability(NodeId u, double p) {
   // renormalization firing inside update_factor recomputes from p_/locked_,
   // which must already describe the post-update world.
   p_[u] = p;
-  if (maintains_cache()) {
-    const double old_r = recip_[u];
-    recip_[u] = p == 0.0 ? 0.0 : 1.0 / p;
-    if (p != old_p) {
-      const NodeId a = state_->part(u);
-      for (const NetId n : state_->graph().nets_of(u)) {
-        update_factor(n, a, old_p, old_r, p);
-      }
+  const double old_r = recip_[u];
+  recip_[u] = p == 0.0 ? 0.0 : 1.0 / p;
+  if (p != old_p) {
+    const NodeId a = state_->part(u);
+    for (const NetId n : state_->graph().nets_of(u)) {
+      update_factor(n, a, old_p, old_r, p);
     }
   }
 }
@@ -217,18 +173,12 @@ void ProbGainCalculator::lock(NodeId u) {
   // excludes u from the free products.
   locked_[u] = 1;
   p_[u] = 0.0;
-  if (maintains_cache()) {
-    const double old_r = recip_[u];
-    recip_[u] = 0.0;
-    for (const NetId n : state_->graph().nets_of(u)) {
-      ++locked_pins_[slot(n, a)];
-      // Remove u's factor from the part's free product; 1.0 is the identity.
-      update_factor(n, a, old_p, old_r, 1.0);
-    }
-  } else {
-    for (const NetId n : state_->graph().nets_of(u)) {
-      ++locked_pins_[slot(n, a)];
-    }
+  const double old_r = recip_[u];
+  recip_[u] = 0.0;
+  for (const NetId n : state_->graph().nets_of(u)) {
+    ++locked_pins_[slot(n, a)];
+    // Remove u's factor from the part's free product; 1.0 is the identity.
+    update_factor(n, a, old_p, old_r, 1.0);
   }
 }
 
@@ -241,12 +191,10 @@ void ProbGainCalculator::move_locked(NodeId u, NodeId from_part) {
   // table moves parts, and with it the effective products of both slots:
   // `to` now holds a locked pin, and `from` may have lost its last lock or
   // its last pin.
-  const bool cached = maintains_cache();
   for (const NetId n : state_->graph().nets_of(u)) {
     const std::size_t from_slot = slot(n, from_part);
     --locked_pins_[from_slot];
     ++locked_pins_[slot(n, to)];
-    if (!cached) continue;
     eff_[slot(n, to)] = 0.0;
     if (state_->pins_in(n, from_part) == 0) {
       eff_[from_slot] = 1.0;
@@ -307,7 +255,7 @@ double ProbGainCalculator::scratch_gain(NodeId u, NodeId to) const {
   return total;
 }
 
-double ProbGainCalculator::cached_gain(NodeId u, NodeId to) const {
+double ProbGainCalculator::gain(NodeId u, NodeId to) const {
   const Hypergraph& g = state_->graph();
   const NodeId a = state_->part(u);
   double total = 0.0;
@@ -317,11 +265,11 @@ double ProbGainCalculator::cached_gain(NodeId u, NodeId to) const {
   return total;
 }
 
-void ProbGainCalculator::cached_gains(NodeId u, double* out) const {
+void ProbGainCalculator::gains(NodeId u, double* out) const {
   const Hypergraph& g = state_->graph();
   const NodeId a = state_->part(u);
   std::fill_n(out, k_, 0.0);
-  // Same terms in the same nets_of(u) order as cached_gain, per part; the
+  // Same terms in the same nets_of(u) order as gain(), per part; the
   // source part's own total is discarded.
   for (const NetId n : g.nets_of(u)) {
     const double* eff = eff_.data() + slot(n, 0);
@@ -332,53 +280,7 @@ void ProbGainCalculator::cached_gains(NodeId u, double* out) const {
   out[a] = 0.0;
 }
 
-void ProbGainCalculator::check_shadow(NodeId u, NodeId to, double cached,
-                                      double scratch) {
-  if (!(std::abs(cached - scratch) <= kProductAuditTol)) {
-    std::ostringstream msg;
-    msg << "prob gain shadow: gain diverged (node " << u << " to " << to
-        << "): cached " << cached << " vs scratch " << scratch;
-    throw std::logic_error(msg.str());
-  }
-}
-
-double ProbGainCalculator::gain(NodeId u, NodeId to) const {
-  switch (engine_) {
-    case GainEngine::kCached:
-      return cached_gain(u, to);
-    case GainEngine::kScratch:
-      return scratch_gain(u, to);
-    case GainEngine::kShadow:
-      break;
-  }
-  // Shadow: answer from scratch so the trajectory is identical to the
-  // scratch engine's, but cross-check the cache on every query.
-  const double scratch = scratch_gain(u, to);
-  check_shadow(u, to, cached_gain(u, to), scratch);
-  return scratch;
-}
-
-void ProbGainCalculator::gains(NodeId u, double* out) const {
-  if (engine_ == GainEngine::kScratch) {
-    std::fill_n(out, k_, 0.0);
-  } else {
-    cached_gains(u, out);
-    if (engine_ == GainEngine::kCached) return;
-  }
-  // Scratch answers; shadow first cross-checks the fused cached totals.
-  const NodeId a = state_->part(u);
-  for (NodeId i = 0; i + 1 < k_; ++i) {
-    const NodeId to = target(a, i);
-    const double scratch = scratch_gain(u, to);
-    if (engine_ == GainEngine::kShadow) {
-      check_shadow(u, to, out[to], scratch);
-    }
-    out[to] = scratch;
-  }
-}
-
 double ProbGainCalculator::max_product_drift() const {
-  if (!maintains_cache()) return 0.0;
   double max_abs = 0.0;
   const NetId nets = state_->graph().num_nets();
   for (NetId n = 0; n < nets; ++n) {
@@ -413,7 +315,6 @@ void ProbGainCalculator::audit_consistency() const {
     throw std::logic_error(
         "prob gain audit: locked-pin counts diverged from recount");
   }
-  if (!maintains_cache()) return;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const double want = p_[u] == 0.0 ? 0.0 : 1.0 / p_[u];
     if (recip_[u] != want) {

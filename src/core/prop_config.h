@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <limits>
 
-#include "core/prob_gain.h"
 #include "core/probability_model.h"
 #include "runtime/run_context.h"
 #include "telemetry/telemetry.h"
@@ -22,34 +21,18 @@ enum class PropBootstrap {
   kDeterministicGain,
 };
 
-struct PropConfig {
+/// The fields both PROP refiners share: PropConfig (2-way) and
+/// KWayPropConfig (kway/kway_prop_refiner.h) add their own on top.
+struct PropPassConfig {
   ProbabilityModel model;  ///< defaults are the paper's Table 2/3 settings
-  PropBootstrap bootstrap = PropBootstrap::kUniform;
 
   /// Gain/probability fixed-point iterations at pass start ("we have used
   /// 2 iterations in our implementations", Sec. 3).
   int refine_iterations = 2;
 
-  /// Which product engine backs the probabilistic gains (DESIGN.md
-  /// Sec. 4f).  kCached is the production path: O(1) incremental
-  /// per-(net, side) products, a closed-form uniform pass start, and epoch
-  /// renormalization bounding FP drift.  kScratch recomputes every product
-  /// by pin iteration — the pre-cache cost model, kept as the audit oracle
-  /// and the benchmark baseline (bench/gain_kernels).  kShadow answers
-  /// every query through the scratch path while maintaining and
-  /// cross-checking the cache: a shadow run reproduces the scratch run's
-  /// cuts exactly, which is how engine equivalence is asserted
-  /// (tests/integration/engine_equivalence_test.cpp).
-  GainEngine gain_engine = GainEngine::kCached;
-
-  /// Renormalization epoch of the cached engine: every (net, side) product
-  /// is recomputed exactly after this many incremental updates (see
-  /// ProbGainCalculator::kDefaultRenormInterval).  Product drift feeds
-  /// gain drift, which the auditor records as PassStats::max_gain_drift.
-  int renorm_interval = ProbGainCalculator::kDefaultRenormInterval;
-
-  /// Number of top-ranked nodes per side whose gains are recomputed after
-  /// every move ("a few, say, five, of the top ranked nodes", Sec. 3.4).
+  /// Number of top-ranked nodes whose gains are recomputed after every
+  /// move ("a few, say, five, of the top ranked nodes", Sec. 3.4); the
+  /// 2-way refiner counts them per side.
   int top_update_width = 5;
 
   int max_passes = 64;
@@ -65,6 +48,18 @@ struct PropConfig {
   /// Opt-in per-pass trajectory recording; null records nothing.
   RefineTelemetry* telemetry = nullptr;
 
+  /// Optional runtime context: the move loop polls for deadline expiry /
+  /// injected cancellation, stopping mid-pass with the usual best-prefix
+  /// rollback.  Null = inert.
+  const RunContext* context = nullptr;
+};
+
+/// The 2-way refiner's config.  Gains always come from the calculator's
+/// cached products (core/prob_gain.h, DESIGN.md §4f), renormalized every
+/// ProbGainCalculator::kDefaultRenormInterval updates of a slot.
+struct PropConfig : PropPassConfig {
+  PropBootstrap bootstrap = PropBootstrap::kUniform;
+
   /// Debug auditor cadence: every `audit_interval` moves the pass verifies
   /// the exact incremental invariants from scratch — per-(net, side) locked
   /// pin counts, tree keys == gains[], probability bounds, cut cost — and
@@ -77,11 +72,6 @@ struct PropConfig {
   /// audited run makes the same moves as an unaudited one.  0 = off.
   int audit_interval = 0;
   double audit_tolerance = 1e-6;
-
-  /// Optional runtime context: the move loop polls for deadline expiry /
-  /// injected cancellation, stopping mid-pass with the usual best-prefix
-  /// rollback.  Null = inert.
-  const RunContext* context = nullptr;
 };
 
 /// The pass bound of both PROP engines: a pass stops once this many moves

@@ -33,8 +33,7 @@ PropRefiner::PropRefiner(Partition& part, const BalanceConstraint& balance,
       state_(part),
       // Every pass starts with reset() or reset_uniform()
       // (bootstrap_probabilities).
-      calc_(state_, ProbGainCalculator::DeferReset{}, config.gain_engine,
-            config.renorm_interval),
+      calc_(state_, ProbGainCalculator::DeferReset{}),
       side0_(part.graph().num_nodes()),
       side1_(part.graph().num_nodes()),
       gains_(part.graph().num_nodes(), 0.0),
@@ -58,19 +57,16 @@ PropRefiner::PropRefiner(Partition& part, const BalanceConstraint& balance,
 
 /// Steps 3-4 of Fig. 2: bootstrap probabilities, then iterate
 /// gains -> probabilities `refine_iterations` times.  Leaves gains_ filled
-/// with the final probabilistic gains.  The cached engine's uniform start
-/// is closed-form (DESIGN.md §4f): reset_uniform sets every product at
-/// once, and the first iteration's gains come from pin counts
-/// (uniform_gains), so one loop computes each node's gain and new
-/// probability, in the set_probability order two sweeps would use.
-/// kScratch and kShadow keep the sweeps (their scratch gains differ from
-/// the cached ones in ulps), so a shadow run stays decision-identical to a
-/// scratch run.
+/// with the final probabilistic gains.  The uniform start is closed-form
+/// (DESIGN.md §4f): reset_uniform sets every product at once, and the
+/// first iteration's gains come from pin counts (uniform_gains), so one
+/// loop computes each node's gain and new probability, in the
+/// set_probability order two sweeps would use.  The deterministic-gain
+/// bootstrap keeps reset() plus a sweep.
 void PropRefiner::bootstrap_probabilities() {
   const PropConfig& config = *config_;
   const NodeId n = state_.graph().num_nodes();
-  const bool closed_form = config.gain_engine == GainEngine::kCached &&
-                           config.bootstrap == PropBootstrap::kUniform &&
+  const bool closed_form = config.bootstrap == PropBootstrap::kUniform &&
                            config.model.pinit > 0.0;
   if (closed_form) {
     calc_.reset_uniform(config.model.pinit);

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/prob_gain.h"
 #include "core/prop_config.h"
 #include "datastruct/gain_sort.h"
 #include "datastruct/kway_gain_entry.h"
@@ -40,10 +41,8 @@ class PassEngine {
         state_(state),
         window_(window),
         config_(config),
-        // Every pass starts with reset() or reset_uniform()
-        // (bootstrap_probabilities).
-        calc_(state, ProbGainCalculator::DeferReset{}, config.gain_engine,
-              config.renorm_interval),
+        // Every pass starts with reset_uniform() (bootstrap_probabilities).
+        calc_(state, ProbGainCalculator::DeferReset{}),
         tree_(g.num_nodes()),
         gains_(g.num_nodes()),
         target_gains_(state.k()),
@@ -185,24 +184,17 @@ class PassEngine {
   /// Pass start: every node at pinit, then `refine_iterations` Jacobi-style
   /// refinement sweeps (Sec. 3.3): gains against the current probabilities
   /// first, then all probabilities rewritten — so the sweep is
-  /// order-independent and engine ulps don't feed back mid-sweep.  The
-  /// cached engine starts in closed form (reset_uniform), and its first
-  /// sweep reads the uniform-state gains from pin counts (uniform_gains),
-  /// so gain and new probability of a node come from one loop with the same
-  /// set_probability calls in the same order (DESIGN.md §4f).
+  /// order-independent and ulps don't feed back mid-sweep.  The pass starts
+  /// in closed form (reset_uniform; kway_prop_refine validated the model, so
+  /// pinit >= pmin > 0), and the first sweep reads the uniform-state gains
+  /// from pin counts (uniform_gains), so gain and new probability of a node
+  /// come from one loop with the same set_probability calls in the same
+  /// order (DESIGN.md §4f).
   void bootstrap_probabilities() {
     const NodeId nodes = g_.num_nodes();
-    const double pinit = config_.model.pinit;
-    const bool closed_form =
-        config_.gain_engine == GainEngine::kCached && pinit > 0.0;
-    if (closed_form) {
-      calc_.reset_uniform(pinit);
-    } else {
-      calc_.reset();
-      for (NodeId u = 0; u < nodes; ++u) calc_.set_probability(u, pinit);
-    }
+    calc_.reset_uniform(config_.model.pinit);
     for (int it = 0; it < config_.refine_iterations; ++it) {
-      if (it == 0 && closed_form) {
+      if (it == 0) {
         for (NodeId u = 0; u < nodes; ++u) {
           calc_.uniform_gains(u, target_gains_.data());
           gains_[u] = best_of_targets(u).gain;

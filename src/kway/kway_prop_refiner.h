@@ -18,36 +18,18 @@
 // match the 2-way refiner's contract.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "core/probability_model.h"
-#include "core/prob_gain.h"
+#include "core/prop_config.h"
 #include "kway/kway_refine.h"  // KWayObjective
 #include "partition/kway_balance.h"
 
 namespace prop {
 
-struct RefineTelemetry;
-struct RunContext;
-
-struct KWayPropConfig {
-  ProbabilityModel model;
-  /// Probability-refinement sweeps per pass before moves start (Sec. 3.3).
-  int refine_iterations = 2;
-  GainEngine gain_engine = GainEngine::kCached;
-  int renorm_interval = ProbGainCalculator::kDefaultRenormInterval;
-  /// Top-of-tree entries re-verified after each move (Sec. 3.4).
-  int top_update_width = 5;
-  int max_passes = 64;
-  /// Pass bound, as PropConfig::stale_move_limit: when nonzero, a pass ends
-  /// stale_move_limit moves after its best prefix.  0 = off (full passes,
-  /// the flat pipeline's setting).
-  std::size_t stale_move_limit = 0;
+/// The k-way refiner's config: the shared PROP pass fields
+/// (core/prop_config.h) plus the objective.
+struct KWayPropConfig : PropPassConfig {
   KWayObjective objective = KWayObjective::kConnectivity;
-  RefineTelemetry* telemetry = nullptr;
-  const RunContext* context = nullptr;
 };
 
 struct KWayPropOutcome {

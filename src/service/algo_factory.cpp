@@ -10,13 +10,6 @@
 
 namespace prop::service {
 
-std::optional<GainEngine> parse_gain_engine(const std::string& name) {
-  if (name == "cached") return GainEngine::kCached;
-  if (name == "scratch") return GainEngine::kScratch;
-  if (name == "shadow") return GainEngine::kShadow;
-  return std::nullopt;
-}
-
 std::optional<KWayRefinerKind> parse_kway_refiner(const std::string& name) {
   if (name == "prop") return KWayRefinerKind::kProp;
   if (name == "greedy") return KWayRefinerKind::kGreedy;
@@ -30,8 +23,7 @@ std::optional<KWayObjective> parse_kway_objective(const std::string& name) {
   return std::nullopt;
 }
 
-std::unique_ptr<Bipartitioner> make_algo(const std::string& name,
-                                         GainEngine gain_engine) {
+std::unique_ptr<Bipartitioner> make_algo(const std::string& name) {
   if (name == "fm") return std::make_unique<FmPartitioner>();
   if (name == "fm-tree") {
     return std::make_unique<FmPartitioner>(FmConfig{FmStructure::kTree});
@@ -39,11 +31,7 @@ std::unique_ptr<Bipartitioner> make_algo(const std::string& name,
   if (name == "la2") return std::make_unique<LaPartitioner>(LaConfig{2});
   if (name == "la3") return std::make_unique<LaPartitioner>(LaConfig{3});
   if (name == "kl") return std::make_unique<KlPartitioner>();
-  if (name == "prop") {
-    PropConfig config;
-    config.gain_engine = gain_engine;
-    return std::make_unique<PropPartitioner>(config);
-  }
+  if (name == "prop") return std::make_unique<PropPartitioner>();
   if (name == "eig1") return std::make_unique<Eig1Partitioner>();
   if (name == "melo") return std::make_unique<MeloPartitioner>();
   if (name == "paraboli") return std::make_unique<ParaboliPartitioner>();
@@ -60,15 +48,13 @@ const std::string& algo_names() {
 std::unique_ptr<Bipartitioner> make_kway_algo(const std::string& base,
                                               NodeId k,
                                               KWayRefinerKind refiner,
-                                              KWayObjective objective,
-                                              GainEngine gain_engine) {
-  std::unique_ptr<Bipartitioner> bisector = make_algo(base, gain_engine);
+                                              KWayObjective objective) {
+  std::unique_ptr<Bipartitioner> bisector = make_algo(base);
   if (!bisector) return nullptr;
   KWayPipelineConfig config;
   config.k = k;
   config.refiner = refiner;
   config.objective = objective;
-  config.prop.gain_engine = gain_engine;
   return std::make_unique<KWayPartitioner>(std::move(bisector), config);
 }
 

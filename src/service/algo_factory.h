@@ -13,9 +13,6 @@
 
 namespace prop::service {
 
-/// Parses a --gain-engine value; nullopt for unknown names.
-std::optional<GainEngine> parse_gain_engine(const std::string& name);
-
 /// Parses a --kway-refiner value (prop, greedy, none); nullopt for unknown.
 std::optional<KWayRefinerKind> parse_kway_refiner(const std::string& name);
 
@@ -24,9 +21,7 @@ std::optional<KWayObjective> parse_kway_objective(const std::string& name);
 
 /// Builds the partitioner registered under `name` (fm, fm-tree, la2, la3,
 /// kl, prop, eig1, melo, paraboli, window); nullptr for unknown names.
-/// `gain_engine` applies to the PROP family only.
-std::unique_ptr<Bipartitioner> make_algo(
-    const std::string& name, GainEngine gain_engine = GainEngine::kCached);
+std::unique_ptr<Bipartitioner> make_algo(const std::string& name);
 
 /// Space-separated list of the registered names, for usage/error messages.
 const std::string& algo_names();
@@ -38,7 +33,6 @@ const std::string& algo_names();
 std::unique_ptr<Bipartitioner> make_kway_algo(
     const std::string& base, NodeId k,
     KWayRefinerKind refiner = kDefaultKWayRefiner,
-    KWayObjective objective = KWayObjective::kConnectivity,
-    GainEngine gain_engine = GainEngine::kCached);
+    KWayObjective objective = KWayObjective::kConnectivity);
 
 }  // namespace prop::service

@@ -8,9 +8,9 @@
 // skip — from the same cached products (cached_slot), so the two must agree
 // bit for bit:
 //
-//   * gains(u, out) and gain(u, to) under kCached, compared with memcmp for
-//     every node, locked ones included;
-//   * for_each_net_gain emissions under every engine, compared with ==.
+//   * gains(u, out) and gain(u, to), compared with memcmp for every node,
+//     locked ones included;
+//   * for_each_net_gain emissions, compared with ==.
 //
 // Covered: k = 2, 3 and 8; probabilities 0, ~1e-60, exactly 1.0, a
 // subnormal whose reciprocal overflows, and the open interval; locks;
@@ -77,31 +77,17 @@ class OldKernel {
   }
 
   template <typename Emit>
-  void for_each_net_gain(NetId n, bool cached, Emit&& emit) const {
+  void for_each_net_gain(NetId n, Emit&& emit) const {
     const Hypergraph& g = state_.graph();
     const auto pins = g.pins_of(n);
     const double c = g.net_cost(n);
     std::vector<double> emit_prod(k_);
     std::vector<std::uint32_t> emit_zeros(k_);
-    if (cached) {
-      NodeId p = 0;
-      while (p < k_ && part_locked(n, p)) ++p;
-      if (p == k_) return;
-      for (NodeId q = 0; q < k_; ++q) {
-        std::tie(emit_prod[q], emit_zeros[q]) = calc_.cached_slot(n, q);
-      }
-    } else {
-      std::fill(emit_prod.begin(), emit_prod.end(), 1.0);
-      std::fill(emit_zeros.begin(), emit_zeros.end(), 0u);
-      for (const NodeId v : pins) {
-        if (!calc_.is_free(v)) continue;
-        const NodeId pv = state_.part(v);
-        if (calc_.probability(v) == 0.0) {
-          ++emit_zeros[pv];
-        } else {
-          emit_prod[pv] *= calc_.probability(v);
-        }
-      }
+    NodeId p = 0;
+    while (p < k_ && part_locked(n, p)) ++p;
+    if (p == k_) return;
+    for (NodeId q = 0; q < k_; ++q) {
+      std::tie(emit_prod[q], emit_zeros[q]) = calc_.cached_slot(n, q);
     }
     for (const NodeId v : pins) {
       if (!calc_.is_free(v)) continue;
@@ -109,11 +95,11 @@ class OldKernel {
       const bool a_blocked = part_locked(n, a);
       const SourceTerm src(c, a_blocked,
                            excl_product(a_blocked, emit_zeros[a],
-                                        emit_prod[a], v, cached));
+                                        emit_prod[a], v));
       for (NodeId i = 0; i + 1 < k_; ++i) {
         const NodeId to = target(a, i);
         const bool to_blocked = part_locked(n, to);
-        if (cached && a_blocked && to_blocked) continue;
+        if (a_blocked && to_blocked) continue;
         if (state_.pins_in(n, to) == 0) {
           emit(v, to, src.no_pin);
           continue;
@@ -166,19 +152,18 @@ class OldKernel {
   }
 
   double excl_product(bool blocked, std::uint32_t zeros, double prod,
-                      NodeId v, bool cached) const noexcept {
-    const double p_v = calc_.probability(v);
+                      NodeId v) const noexcept {
     if (blocked) return 0.0;
-    if (p_v == 0.0) return zeros > 1 ? 0.0 : prod;
+    if (calc_.probability(v) == 0.0) return zeros > 1 ? 0.0 : prod;
     if (zeros > 0) return 0.0;
-    return cached ? prod * recip(v) : prod / p_v;
+    return prod * recip(v);
   }
 
   SourceTerm cached_source(NetId n, NodeId a, NodeId u) const noexcept {
     const bool blocked = part_locked(n, a);
     const auto [prod, zeros] = calc_.cached_slot(n, a);
     return SourceTerm(state_.graph().net_cost(n), blocked,
-                      excl_product(blocked, zeros, prod, u, true));
+                      excl_product(blocked, zeros, prod, u));
   }
 
   void add_cached_term(NetId n, NodeId to, const SourceTerm& src,
@@ -253,23 +238,22 @@ void expect_matches_oracle(const ProbGainCalculator& calc,
   const Hypergraph& g = state.graph();
   const NodeId k = state.k();
   const OldKernel old(calc, state);
-  const bool cached = calc.engine() == GainEngine::kCached;
-  if (cached) {
-    std::vector<double> got(k);
-    std::vector<double> want(k);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      calc.gains(u, got.data());
-      old.cached_gains(u, want.data());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), k * sizeof(double)), 0)
-          << where << " gains(" << u << ")";
-      for (NodeId to = 0; to < k; ++to) {
-        if (to == state.part(u)) continue;
-        const double a = calc.gain(u, to);
-        const double b = old.cached_gain(u, to);
-        EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
-            << where << " gain(" << u << ", " << to << "): " << a << " vs "
-            << b;
-      }
+  std::vector<double> got_gains(k);
+  std::vector<double> want_gains(k);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    calc.gains(u, got_gains.data());
+    old.cached_gains(u, want_gains.data());
+    EXPECT_EQ(std::memcmp(got_gains.data(), want_gains.data(),
+                          k * sizeof(double)),
+              0)
+        << where << " gains(" << u << ")";
+    for (NodeId to = 0; to < k; ++to) {
+      if (to == state.part(u)) continue;
+      const double a = calc.gain(u, to);
+      const double b = old.cached_gain(u, to);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+          << where << " gain(" << u << ", " << to << "): " << a << " vs "
+          << b;
     }
   }
   std::vector<Emission> got;
@@ -280,7 +264,7 @@ void expect_matches_oracle(const ProbGainCalculator& calc,
     calc.for_each_net_gain(n, [&](NodeId v, NodeId to, double gain) {
       got.push_back({v, to, gain});
     });
-    old.for_each_net_gain(n, cached, [&](NodeId v, NodeId to, double gain) {
+    old.for_each_net_gain(n, [&](NodeId v, NodeId to, double gain) {
       want.push_back({v, to, gain});
     });
     // The old cached emission skipped a frozen pair (locked pins in both
@@ -304,8 +288,7 @@ void expect_matches_oracle(const ProbGainCalculator& calc,
       }
       const bool frozen_pair = old.part_locked(n, state.part(e.v)) &&
                                old.part_locked(n, e.to);
-      EXPECT_TRUE(cached && frozen_pair &&
-                  std::bit_cast<std::uint64_t>(e.gain) == 0)
+      EXPECT_TRUE(frozen_pair && std::bit_cast<std::uint64_t>(e.gain) == 0)
           << where << " net " << n << " extra emission (" << e.v << " -> "
           << e.to << ") = " << e.gain;
       ++cov.frozen;
@@ -316,15 +299,13 @@ void expect_matches_oracle(const ProbGainCalculator& calc,
   ++cov.checks;
 }
 
-Coverage run_sequence(GainEngine engine, NodeId k, int renorm_interval,
-                      std::uint64_t seed) {
+Coverage run_sequence(NodeId k, int renorm_interval, std::uint64_t seed) {
   const Hypergraph g = generate_circuit({"kernel-diff", 120, 150, 520}, seed);
   Rng rng(mix_seed(seed, k, static_cast<std::uint64_t>(renorm_interval)));
   KWayState state = random_state(g, k, rng);
-  ProbGainCalculator calc(state, engine, renorm_interval);
+  ProbGainCalculator calc(state, renorm_interval);
   const NodeId n = g.num_nodes();
-  const std::string where = std::string(to_string(engine)) + " k " +
-                            std::to_string(k) + " epoch " +
+  const std::string where = "k " + std::to_string(k) + " epoch " +
                             std::to_string(renorm_interval);
 
   Coverage cov;
@@ -382,8 +363,7 @@ TEST(ProbGainKernelDifferential, CachedKernelMatchesOldKernelBitForBit) {
   for (const NodeId k : {2u, 3u, 8u}) {
     for (const int renorm_interval : {1, 3, 128}) {
       for (const std::uint64_t seed : {5ULL, 23ULL}) {
-        const Coverage cov =
-            run_sequence(GainEngine::kCached, k, renorm_interval, seed);
+        const Coverage cov = run_sequence(k, renorm_interval, seed);
         ASSERT_FALSE(HasFailure());
         EXPECT_EQ(cov.checks, 15);
         EXPECT_GT(cov.emptied, 0) << "k " << k;
@@ -392,20 +372,6 @@ TEST(ProbGainKernelDifferential, CachedKernelMatchesOldKernelBitForBit) {
         if (k > 2) {
           EXPECT_GT(cov.frozen, 0) << "k " << k;
         }
-        EXPECT_GT(cov.zero_signs, 0) << "k " << k;
-      }
-    }
-  }
-}
-
-TEST(ProbGainKernelDifferential, ScratchAndShadowEmissionsMatchOldEmission) {
-  for (const GainEngine engine : {GainEngine::kScratch, GainEngine::kShadow}) {
-    for (const NodeId k : {2u, 3u, 8u}) {
-      for (const int renorm_interval : {1, 3, 128}) {
-        const Coverage cov = run_sequence(engine, k, renorm_interval, 31);
-        ASSERT_FALSE(HasFailure());
-        EXPECT_EQ(cov.checks, 15);
-        EXPECT_EQ(cov.frozen, 0);  // these engines always emitted every pair
         EXPECT_GT(cov.zero_signs, 0) << "k " << k;
       }
     }

@@ -5,8 +5,8 @@
 // k = 2 (the paper's engine) and k = 4, and checks the cache's contract at
 // every step:
 //
-//   * gain(u, to) under kCached agrees with the scratch_gain(u, to) oracle
-//     within the drift bound at every sampled query;
+//   * gain(u, to) agrees with the scratch_gain(u, to) oracle within the
+//     drift bound at every sampled query;
 //   * summed for_each_net_gain emissions agree with scratch_gain(v, to)
 //     for every node and target;
 //   * max_product_drift() never exceeds kProductAuditTol between epochs;
@@ -17,8 +17,8 @@
 //   * audit_consistency() (zero counters, reciprocals, locked-pin table)
 //     holds at every checkpoint;
 //   * the all-targets gains() kernel is bit-identical to gain() for every
-//     node and target, and its kShadow path never trips;
-//   * kShadow sequences never trip the per-query cross-check;
+//     node and target, and each of its answers lies within
+//     kProductAuditTol of scratch_gain;
 //   * a full PROP run with the auditor at a tight cadence passes every
 //     audit and returns the same partition as the unaudited run;
 //   * reset_uniform(p) equals reset() plus an id-order set_probability(u, p)
@@ -96,14 +96,13 @@ void expect_kernel_matches_gain(const ProbGainCalculator& calc,
       const auto want_bits = std::bit_cast<std::uint64_t>(want);
       EXPECT_EQ(got_bits, want_bits)
           << "op " << op << " node " << u << " -> " << to << ": " << out[to]
-          << " vs " << want << " engine " << to_string(calc.engine())
-          << " k " << state.k();
+          << " vs " << want << " k " << state.k();
       if (got_bits != want_bits) return;
       if (own) continue;
       const double oracle = calc.scratch_gain(u, to);
       EXPECT_NEAR(out[to], oracle, ProbGainCalculator::kProductAuditTol)
-          << "op " << op << " node " << u << " -> " << to << " engine "
-          << to_string(calc.engine()) << " k " << state.k();
+          << "op " << op << " node " << u << " -> " << to << " k "
+          << state.k();
       if (!(std::abs(out[to] - oracle) <=
             ProbGainCalculator::kProductAuditTol)) {
         return;
@@ -116,12 +115,12 @@ void expect_kernel_matches_gain(const ProbGainCalculator& calc,
 /// every `kernel_every` ops (0: never) the gains() kernel check above.
 /// Returns the number of oracle comparisons performed (so tests can assert
 /// the sequence actually exercised the query path).
-int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
-                 int renorm_interval, NodeId k = 2, int kernel_every = 0) {
+int run_sequence(std::uint64_t seed, int ops, int renorm_interval,
+                 NodeId k = 2, int kernel_every = 0) {
   const Hypergraph g = property_circuit(seed);
   Rng rng(mix_seed(seed, 77));
   KWayState state = random_state(g, k, rng);
-  ProbGainCalculator calc(state, engine, renorm_interval);
+  ProbGainCalculator calc(state, renorm_interval);
 
   const NodeId n = g.num_nodes();
   const auto reinit = [&] {
@@ -168,8 +167,7 @@ int run_sequence(GainEngine engine, std::uint64_t seed, int ops,
       const double tol = ProbGainCalculator::kProductAuditTol *
                          static_cast<double>(g.degree(u) + 1);
       EXPECT_NEAR(fast, oracle, tol)
-          << "op " << op << " node " << u << " -> " << to << " engine "
-          << to_string(engine) << " k " << k;
+          << "op " << op << " node " << u << " -> " << to << " k " << k;
       ++comparisons;
     }
 
@@ -201,8 +199,7 @@ TEST(ProbGainProperty, CachedMatchesScratchOracleUnderRandomSequences) {
   for (const int renorm_interval : {5, 1}) {
     for (const NodeId k : {2u, 4u}) {
       for (const std::uint64_t seed : {11ULL, 23ULL, 47ULL}) {
-        const int comparisons =
-            run_sequence(GainEngine::kCached, seed, 3500, renorm_interval, k);
+        const int comparisons = run_sequence(seed, 3500, renorm_interval, k);
         EXPECT_GT(comparisons, 100)
             << "seed " << seed << " k " << k << " epoch " << renorm_interval;
       }
@@ -218,83 +215,63 @@ TEST(ProbGainProperty, CachedMatchesScratchOracleUnderRandomSequences) {
 TEST(ProbGainProperty, EmissionSumsMatchScratchGainAtK4) {
   const NodeId k = 4;
   const Hypergraph g = property_circuit(61);
-  for (const GainEngine engine :
-       {GainEngine::kCached, GainEngine::kScratch, GainEngine::kShadow}) {
-    Rng rng(mix_seed(61, 3));
-    KWayState state = random_state(g, k, rng);
-    ProbGainCalculator calc(state, engine, 5);
-    const NodeId n = g.num_nodes();
-    for (NodeId u = 0; u < n; ++u) {
-      calc.set_probability(u, random_probability(rng));
-    }
-    for (int i = 0; i < static_cast<int>(n) / 4; ++i) {
-      const NodeId u = static_cast<NodeId>(rng.bounded(n));
-      if (!calc.is_free(u)) continue;
-      const NodeId from = state.part(u);
-      calc.lock(u);
-      if (rng.chance(0.5)) state.move(u, random_target(state, u, rng));
-      calc.move_locked(u, from);
-    }
+  Rng rng(mix_seed(61, 3));
+  KWayState state = random_state(g, k, rng);
+  ProbGainCalculator calc(state, 5);
+  const NodeId n = g.num_nodes();
+  for (NodeId u = 0; u < n; ++u) {
+    calc.set_probability(u, random_probability(rng));
+  }
+  for (int i = 0; i < static_cast<int>(n) / 4; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.bounded(n));
+    if (!calc.is_free(u)) continue;
+    const NodeId from = state.part(u);
+    calc.lock(u);
+    if (rng.chance(0.5)) state.move(u, random_target(state, u, rng));
+    calc.move_locked(u, from);
+  }
 
-    std::vector<double> sum(static_cast<std::size_t>(n) * k, 0.0);
-    for (NetId net = 0; net < g.num_nets(); ++net) {
-      NodeId last_v = kInvalidNode;
-      NodeId last_to = 0;
-      calc.for_each_net_gain(net, [&](NodeId v, NodeId to, double gain) {
-        ASSERT_TRUE(calc.is_free(v));
-        ASSERT_NE(to, state.part(v));
-        // Pins in pin order, targets ascending within a pin.
-        if (v == last_v) {
-          ASSERT_GT(to, last_to);
-        }
-        last_v = v;
-        last_to = to;
-        sum[static_cast<std::size_t>(v) * k + to] += gain;
-      });
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (!calc.is_free(v)) continue;
-      for (NodeId to = 0; to < k; ++to) {
-        if (to == state.part(v)) continue;
-        EXPECT_NEAR(sum[static_cast<std::size_t>(v) * k + to],
-                    calc.scratch_gain(v, to),
-                    ProbGainCalculator::kProductAuditTol)
-            << to_string(engine) << " node " << v << " -> " << to;
+  std::vector<double> sum(static_cast<std::size_t>(n) * k, 0.0);
+  for (NetId net = 0; net < g.num_nets(); ++net) {
+    NodeId last_v = kInvalidNode;
+    NodeId last_to = 0;
+    calc.for_each_net_gain(net, [&](NodeId v, NodeId to, double gain) {
+      ASSERT_TRUE(calc.is_free(v));
+      ASSERT_NE(to, state.part(v));
+      // Pins in pin order, targets ascending within a pin.
+      if (v == last_v) {
+        ASSERT_GT(to, last_to);
       }
+      last_v = v;
+      last_to = to;
+      sum[static_cast<std::size_t>(v) * k + to] += gain;
+    });
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (!calc.is_free(v)) continue;
+    for (NodeId to = 0; to < k; ++to) {
+      if (to == state.part(v)) continue;
+      EXPECT_NEAR(sum[static_cast<std::size_t>(v) * k + to],
+                  calc.scratch_gain(v, to),
+                  ProbGainCalculator::kProductAuditTol)
+          << "node " << v << " -> " << to;
     }
   }
 }
 
 /// gains() is the one gain read of the k-way refiner, so it must not move
 /// a single decision: bit-identical to gain() under random sequences, at
-/// the paper's k = 2 and at k = 3, 4 and 8, for both answering engines.
+/// the paper's k = 2 and at k = 3, 4 and 8, and within kProductAuditTol
+/// of the scratch oracle for every node and target at each check.
 TEST(ProbGainProperty, GainsKernelIsBitIdenticalToGain) {
   for (const NodeId k : {2u, 3u, 4u, 8u}) {
-    for (const GainEngine engine :
-         {GainEngine::kCached, GainEngine::kScratch}) {
-      SCOPED_TRACE(testing::Message() << to_string(engine) << " k " << k);
-      run_sequence(engine, 31 + k, 2000, 5, k, 100);
-    }
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    run_sequence(31 + k, 2000, 5, k, 100);
   }
 }
 
-/// The kernel's kShadow path cross-checks the fused cached totals of all
-/// k - 1 targets against scratch; surviving the sequence is the assertion.
-TEST(ProbGainProperty, GainsKernelShadowCrossCheckNeverFiresAtK8) {
-  EXPECT_NO_THROW(run_sequence(GainEngine::kShadow, 89, 2000, 5, 8, 100));
-}
-
 TEST(ProbGainProperty, CachedHoldsAtProductionEpochLength) {
-  run_sequence(GainEngine::kCached, 101, 3000,
-               ProbGainCalculator::kDefaultRenormInterval);
-}
-
-TEST(ProbGainProperty, ShadowCrossCheckNeverFires) {
-  // Every gain() under kShadow throws std::logic_error if the cached
-  // answer drifts past kProductAuditTol from the scratch one, so simply
-  // surviving the sequence is the assertion.
-  EXPECT_NO_THROW(run_sequence(GainEngine::kShadow, 71, 3000, 5));
-  EXPECT_NO_THROW(run_sequence(GainEngine::kShadow, 73, 3000, 5, 4));
+  run_sequence(101, 3000, ProbGainCalculator::kDefaultRenormInterval);
 }
 
 TEST(ProbGainProperty, RenormalizationIsBitExactAfterTinyProbabilityBursts) {
@@ -303,8 +280,8 @@ TEST(ProbGainProperty, RenormalizationIsBitExactAfterTinyProbabilityBursts) {
   const KWayState state = random_state(g, 2, rng);
   // `calc` renormalizes on its short epoch or the magnitude window;
   // `every_step` renormalizes each update's slot.
-  ProbGainCalculator calc(state, GainEngine::kCached, 3);
-  ProbGainCalculator every_step(state, GainEngine::kCached, 1);
+  ProbGainCalculator calc(state, 3);
+  ProbGainCalculator every_step(state, 1);
   calc.reset();
   every_step.reset();
   const NodeId n = g.num_nodes();
@@ -332,24 +309,21 @@ TEST(ProbGainProperty, AuditedPropRunMatchesUnaudited) {
   // only reads state, so the run must equal the unaudited one.
   const Hypergraph g = property_circuit(9);
   const BalanceConstraint balance = BalanceConstraint::forty_five(g);
-  for (const GainEngine engine : {GainEngine::kCached, GainEngine::kShadow}) {
-    PropConfig config;
-    config.gain_engine = engine;
-    PropPartitioner plain(config);
-    config.audit_interval = 16;
-    PropPartitioner audited(config);
-    RefineTelemetry telemetry;
-    audited.attach_telemetry(&telemetry);
-    const RunOutcome want = run_checked(plain, g, balance, 17);
-    const RunOutcome got = run_checked(audited, g, balance, 17);
-    ASSERT_TRUE(want.has_result()) << to_string(engine);
-    ASSERT_TRUE(got.has_result()) << to_string(engine);
-    const ValidationReport report = validate_result(g, balance, got.result);
-    EXPECT_TRUE(report.ok) << to_string(engine) << ": " << report.message;
-    EXPECT_GT(telemetry.total_audits(), 0u) << to_string(engine);
-    EXPECT_EQ(got.result.side, want.result.side) << to_string(engine);
-    EXPECT_EQ(got.result.cut_cost, want.result.cut_cost) << to_string(engine);
-  }
+  PropConfig config;
+  PropPartitioner plain(config);
+  config.audit_interval = 16;
+  PropPartitioner audited(config);
+  RefineTelemetry telemetry;
+  audited.attach_telemetry(&telemetry);
+  const RunOutcome want = run_checked(plain, g, balance, 17);
+  const RunOutcome got = run_checked(audited, g, balance, 17);
+  ASSERT_TRUE(want.has_result());
+  ASSERT_TRUE(got.has_result());
+  const ValidationReport report = validate_result(g, balance, got.result);
+  EXPECT_TRUE(report.ok) << report.message;
+  EXPECT_GT(telemetry.total_audits(), 0u);
+  EXPECT_EQ(got.result.side, want.result.side);
+  EXPECT_EQ(got.result.cut_cost, want.result.cut_cost);
 }
 
 /// A generated circuit plus wide nets of 70 to 720 pins, so that at
@@ -415,8 +389,8 @@ TEST(ProbGainProperty, ResetUniformMatchesResetPlusIdOrderSweep) {
                                         << " epoch " << renorm_interval);
         Rng rng(mix_seed(k, 7));
         KWayState state = random_state(g, k, rng);
-        ProbGainCalculator closed(state, GainEngine::kCached, renorm_interval);
-        ProbGainCalculator swept(state, GainEngine::kCached, renorm_interval);
+        ProbGainCalculator closed(state, renorm_interval);
+        ProbGainCalculator swept(state, renorm_interval);
         closed.reset_uniform(p);
         swept.reset();
         for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -464,50 +438,46 @@ TEST(ProbGainProperty, ResetUniformMatchesResetPlusIdOrderSweep) {
 
 TEST(ProbGainProperty, DeferResetMatchesEagerConstructionAtPassStart) {
   // The refiners construct with DeferReset and start every pass with
-  // reset_uniform (cached engine) or reset() plus a sweep: from that pass
-  // start on, the calculator must be field-for-field the eagerly built one.
-  for (const GainEngine engine :
-       {GainEngine::kCached, GainEngine::kScratch, GainEngine::kShadow}) {
-    for (const NodeId k : {2u, 8u}) {
-      SCOPED_TRACE(testing::Message() << to_string(engine) << " k " << k);
-      const Hypergraph g = wide_net_circuit(29 + k);
-      Rng rng(mix_seed(k, 11));
-      KWayState state = random_state(g, k, rng);
-      ProbGainCalculator eager(state, engine, 3);
-      ProbGainCalculator deferred(state, ProbGainCalculator::DeferReset{},
-                                  engine, 3);
-      for (const bool uniform : {true, false}) {
-        if (uniform) {
-          eager.reset_uniform(0.9);
-          deferred.reset_uniform(0.9);
-        } else {
-          eager.reset();
-          deferred.reset();
-          for (NodeId u = 0; u < g.num_nodes(); ++u) {
-            const double q = random_probability(rng);
-            eager.set_probability(u, q);
-            deferred.set_probability(u, q);
-          }
+  // reset_uniform or reset() plus a sweep: from that pass start on, the
+  // calculator must be field-for-field the eagerly built one.
+  for (const NodeId k : {2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    const Hypergraph g = wide_net_circuit(29 + k);
+    Rng rng(mix_seed(k, 11));
+    KWayState state = random_state(g, k, rng);
+    ProbGainCalculator eager(state, 3);
+    ProbGainCalculator deferred(state, ProbGainCalculator::DeferReset{}, 3);
+    for (const bool uniform : {true, false}) {
+      if (uniform) {
+        eager.reset_uniform(0.9);
+        deferred.reset_uniform(0.9);
+      } else {
+        eager.reset();
+        deferred.reset();
+        for (NodeId u = 0; u < g.num_nodes(); ++u) {
+          const double q = random_probability(rng);
+          eager.set_probability(u, q);
+          deferred.set_probability(u, q);
         }
-        for (int op = 0; op < 500; ++op) {
-          const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
-          if (!eager.is_free(u)) continue;
-          if (rng.chance(0.7)) {
-            const double q = random_probability(rng);
-            eager.set_probability(u, q);
-            deferred.set_probability(u, q);
-          } else {
-            const NodeId from = state.part(u);
-            eager.lock(u);
-            deferred.lock(u);
-            state.move(u, random_target(state, u, rng));
-            eager.move_locked(u, from);
-            deferred.move_locked(u, from);
-          }
-        }
-        EXPECT_EQ(gain_record(deferred, state), gain_record(eager, state));
-        deferred.audit_consistency();
       }
+      for (int op = 0; op < 500; ++op) {
+        const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
+        if (!eager.is_free(u)) continue;
+        if (rng.chance(0.7)) {
+          const double q = random_probability(rng);
+          eager.set_probability(u, q);
+          deferred.set_probability(u, q);
+        } else {
+          const NodeId from = state.part(u);
+          eager.lock(u);
+          deferred.lock(u);
+          state.move(u, random_target(state, u, rng));
+          eager.move_locked(u, from);
+          deferred.move_locked(u, from);
+        }
+      }
+      EXPECT_EQ(gain_record(deferred, state), gain_record(eager, state));
+      deferred.audit_consistency();
     }
   }
 }
@@ -532,8 +502,8 @@ TEST(ProbGainProperty, ResetUniformEpochCountersAtTheMagnitudeWindow) {
   for (const int renorm_interval : {1, 3, 128}) {
     SCOPED_TRACE(testing::Message() << "epoch " << renorm_interval);
     const KWayState state(g, part, 2);
-    ProbGainCalculator closed(state, GainEngine::kCached, renorm_interval);
-    ProbGainCalculator swept(state, GainEngine::kCached, renorm_interval);
+    ProbGainCalculator closed(state, renorm_interval);
+    ProbGainCalculator swept(state, renorm_interval);
     closed.reset_uniform(0.01);
     swept.reset();
     for (NodeId u = 0; u < n; ++u) swept.set_probability(u, 0.01);

@@ -103,26 +103,20 @@ TEST(GoldenOutput, FlatPropFortyFive) {
 }
 
 /// PropConfig variants that take other paths through the 2-way pass engine:
-/// the scratch and shadow gain engines (node-major bootstrap, full
-/// emission), the deterministic-gain bootstrap, and the invariant auditor,
-/// which records drift but must leave the sides of the unaudited run.
+/// the deterministic-gain bootstrap (reset plus node-major sweeps), and the
+/// invariant auditor, which records drift but must leave the sides of the
+/// unaudited run.
 TEST(GoldenOutput, FlatPropConfigVariants) {
   struct Case {
     const char* label;
     PropConfig config;
     Golden want;
   };
-  PropConfig scratch;
-  scratch.gain_engine = GainEngine::kScratch;
-  PropConfig shadow;
-  shadow.gain_engine = GainEngine::kShadow;
   PropConfig gain_bootstrap;
   gain_bootstrap.bootstrap = PropBootstrap::kDeterministicGain;
   PropConfig audited;
   audited.audit_interval = 40;
   const Case cases[] = {
-      {"scratch", scratch, {0x1c0e0c5e6df5715dULL, 0xc225b22e6ee719c8ULL}},
-      {"shadow", shadow, {0x1c0e0c5e6df5715dULL, 0xc225b22e6ee719c8ULL}},
       {"gain-bootstrap",
        gain_bootstrap,
        {0x17e3120c619dc9f4ULL, 0x57c23fa5de8ac944ULL}},
@@ -153,31 +147,20 @@ TEST(GoldenOutput, FlatPropWeightedNodes) {
 
 /// kway_prop_refine called directly, from a greedy-legalized random start
 /// on p1: digests the returned parts and the outcome plus the timing-free
-/// pass telemetry, for each gain engine at k = 3 and k = 8.
+/// pass telemetry, for the cut objective at k = 3 and connectivity at
+/// k = 8.
 TEST(GoldenOutput, KWayPropRefineEngines) {
   struct Case {
     const char* label;
     NodeId k;
-    GainEngine engine;
     KWayObjective objective;
     Golden want;
   };
   const Case cases[] = {
-      {"k3-cached-cut", 3, GainEngine::kCached, KWayObjective::kCut,
+      {"k3-cached-cut", 3, KWayObjective::kCut,
        {0x96685943c5afb236ULL, 0xd0e87b22c393b3e5ULL}},
-      {"k3-scratch-cut", 3, GainEngine::kScratch, KWayObjective::kCut,
-       {0xe7addc99f26532e6ULL, 0xd79cdf764b7ab889ULL}},
-      {"k3-shadow-cut", 3, GainEngine::kShadow, KWayObjective::kCut,
-       {0xe7addc99f26532e6ULL, 0xd79cdf764b7ab889ULL}},
-      {"k8-cached-connectivity", 8, GainEngine::kCached,
-       KWayObjective::kConnectivity,
+      {"k8-cached-connectivity", 8, KWayObjective::kConnectivity,
        {0xd4362793444b5755ULL, 0xb8cb5e801b3a3be8ULL}},
-      {"k8-scratch-connectivity", 8, GainEngine::kScratch,
-       KWayObjective::kConnectivity,
-       {0xaf87dcdf4baccd21ULL, 0x902c3251bf88d1f2ULL}},
-      {"k8-shadow-connectivity", 8, GainEngine::kShadow,
-       KWayObjective::kConnectivity,
-       {0xaf87dcdf4baccd21ULL, 0x902c3251bf88d1f2ULL}},
   };
   const Hypergraph g = make_mcnc_circuit("p1");
   for (const Case& c : cases) {
@@ -191,7 +174,6 @@ TEST(GoldenOutput, KWayPropRefineEngines) {
 
     RefineTelemetry telemetry;
     KWayPropConfig config;
-    config.gain_engine = c.engine;
     config.objective = c.objective;
     config.telemetry = &telemetry;
     const KWayBalanceWindow window = kway_part_window(

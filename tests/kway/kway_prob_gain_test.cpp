@@ -9,8 +9,8 @@
 //     kProductAuditTol, at k = 2 (t4), k = 4 and k = 8 (p1).
 // The k = 2 case is the 2-way PROP engine itself; its outputs are pinned
 // byte-for-byte by the GoldenOutput cases FlatPropFortyFive,
-// FlatPropConfigVariants (scratch, shadow, deterministic-gain bootstrap,
-// audit) and MultilevelPropSynthetic
+// FlatPropConfigVariants (deterministic-gain bootstrap, audit) and
+// MultilevelPropSynthetic
 // (tests/integration/golden_output_test.cpp).
 #include "core/prob_gain.h"
 
@@ -52,44 +52,33 @@ TEST(KWayProbGain, CachedMatchesScratchOracle) {
   const Hypergraph g = testing::small_random_circuit(911);
   const NodeId k = 4;
   KWayState state(g, random_parts(g, k, 911), k);
-  ProbGainCalculator cached(state, GainEngine::kCached);
-  ProbGainCalculator scratch(state, GainEngine::kScratch);
+  ProbGainCalculator calc(state);
   Rng rng(912);
-  cached.reset();
-  scratch.reset();
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const double p = 0.05 + 0.9 * rng.uniform();
-    cached.set_probability(u, p);
-    scratch.set_probability(u, p);
-  }
+  calc.reset();
+  seed_probabilities(calc, g, rng);
 
   for (int moves = 0; moves < 120; ++moves) {
     for (int probe = 0; probe < 8; ++probe) {
       const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
-      if (!cached.is_free(u)) continue;
+      if (!calc.is_free(u)) continue;
       for (NodeId to = 0; to < k; ++to) {
         if (to == state.part(u)) continue;
-        const double want = scratch.gain(u, to);
-        EXPECT_NEAR(cached.gain(u, to), want,
+        EXPECT_NEAR(calc.gain(u, to), calc.scratch_gain(u, to),
                     ProbGainCalculator::kProductAuditTol)
             << "node " << u << " -> " << to;
-        EXPECT_NEAR(cached.scratch_gain(u, to), want, 1e-12);
       }
     }
     // Lock-and-move a random free node, mirroring the pass protocol.
     const NodeId u = static_cast<NodeId>(rng.bounded(g.num_nodes()));
-    if (!cached.is_free(u)) continue;
+    if (!calc.is_free(u)) continue;
     const NodeId from = state.part(u);
     const NodeId to = (from + 1 + static_cast<NodeId>(rng.bounded(k - 1))) % k;
-    cached.lock(u);
-    scratch.lock(u);
+    calc.lock(u);
     state.move(u, to);
-    cached.move_locked(u, from);
-    scratch.move_locked(u, from);
+    calc.move_locked(u, from);
   }
-  EXPECT_LE(cached.max_product_drift(),
-            ProbGainCalculator::kProductAuditTol);
-  cached.audit_consistency();
+  EXPECT_LE(calc.max_product_drift(), ProbGainCalculator::kProductAuditTol);
+  calc.audit_consistency();
 }
 
 /// A cached-engine PROP-shaped pass with every gain read cross-checked
@@ -229,7 +218,7 @@ TEST(KWayProbGain, NetGainOracleMatchesPaperCases) {
   b.add_net({0, 1, 2}, 2.0);
   const Hypergraph g = std::move(b).build();
   KWayState state(g, {0, 0, 1}, 3);
-  ProbGainCalculator calc(state, GainEngine::kScratch);
+  ProbGainCalculator calc(state);
   calc.reset();
   for (NodeId u = 0; u < 3; ++u) calc.set_probability(u, 0.5);
 
@@ -253,7 +242,7 @@ TEST(KWayProbGain, ShortRenormEpochStaysExact) {
   const Hypergraph g = testing::small_random_circuit(947, 80, 110, 330);
   const NodeId k = 3;
   KWayState state(g, random_parts(g, k, 947), k);
-  ProbGainCalculator calc(state, GainEngine::kCached, 1);
+  ProbGainCalculator calc(state, 1);
   Rng rng(948);
   calc.reset();
   seed_probabilities(calc, g, rng);

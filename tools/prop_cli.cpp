@@ -39,7 +39,6 @@ constexpr const char* kUsage =
     "          [--runs N] [--balance 50-50|45-55] [--k K]\n"
     "          [--kway-refiner=prop|greedy|none]\n"
     "          [--kway-objective=cut|connectivity]\n"
-    "          [--gain-engine=cached|scratch|shadow]\n"
     "          [--multilevel] [--ml-refiner=prop|fm] [--coarsest-max-nodes N]\n"
     "          [--seed N] [--threads N] [--out FILE]\n"
     "          [--stats-json FILE] [--stats-timing=0|1] [--list]\n"
@@ -60,8 +59,8 @@ int main(int argc, char** argv) {
                          {"hgr", "circuit", "algo", "runs", "balance", "k",
                           "kway-refiner", "kway-objective", "seed", "out",
                           "stats-json", "stats-timing", "list", "threads",
-                          "gain-engine", "multilevel",
-                          "ml-refiner", "coarsest-max-nodes", "synth-nodes"},
+                          "multilevel", "ml-refiner", "coarsest-max-nodes",
+                          "synth-nodes"},
                          kUsage)) {
     return 2;
   }
@@ -101,13 +100,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string engine_name = args.get_or("gain-engine", "cached");
-  const auto gain_engine = prop::service::parse_gain_engine(engine_name);
-  if (!gain_engine) {
-    std::fprintf(stderr, "unknown gain engine '%s' (cached|scratch|shadow)\n",
-                 engine_name.c_str());
-    return usage(argv[0]);
-  }
   const long long k_arg = args.get_int_or("k", 2);
   if (k_arg < 2 || k_arg > 256) {
     std::fprintf(stderr, "error: --k must be in [2, 256]\n");
@@ -158,7 +150,6 @@ int main(int argc, char** argv) {
       config.k = k;
       config.objective = *kway_objective;
       config.refiner = *kway_refiner;
-      config.prop.gain_engine = *gain_engine;
       config.coarsest_max_nodes = static_cast<prop::NodeId>(coarsest);
       algo = std::make_unique<prop::MultilevelKWayPartitioner>(config);
     } else {
@@ -173,15 +164,14 @@ int main(int argc, char** argv) {
                      refiner.c_str());
         return usage(argv[0]);
       }
-      config.prop.gain_engine = *gain_engine;
       config.coarsest_max_nodes = static_cast<prop::NodeId>(coarsest);
       algo = std::make_unique<prop::MultilevelPartitioner>(config);
     }
   } else {
     const std::string algo_name = args.get_or("algo", "prop");
     algo = k > 2 ? prop::service::make_kway_algo(algo_name, k, *kway_refiner,
-                                                 *kway_objective, *gain_engine)
-                 : prop::service::make_algo(algo_name, *gain_engine);
+                                                 *kway_objective)
+                 : prop::service::make_algo(algo_name);
     if (!algo) {
       std::fprintf(stderr, "unknown algorithm '%s'\n", algo_name.c_str());
       return usage(argv[0]);
