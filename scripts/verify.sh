@@ -60,18 +60,13 @@ echo "== fault-injection suite (asan+ubsan) =="
 ctest --preset asan-ubsan -j "$jobs" \
   -R 'RuntimeRobustness|FaultInjector|Deadline|CancelToken|Status'
 
-# Shadow-engine smoke: every gain query cross-checks the cached products
-# against the scratch answer, and the pass runs the scratch/shadow
-# emission path of ProbGainCalculator::for_each_net_gain (one pin pass
-# per net into per-part scratch, every (pin, target) pair emitted).
-echo "== gain-engine shadow smoke (asan+ubsan) =="
-./build-asan/tools/prop_cli --circuit t4 --algo prop --gain-engine=shadow \
-  --runs 1 > /dev/null
-# The same at k = 8: every k-way gain read goes through the all-targets
-# ProbGainCalculator::gains kernel, whose shadow path cross-checks the fused
-# cached totals of all seven targets against scratch on every query.
-./build-asan/tools/prop_cli --circuit p1 --algo prop --k 8 \
-  --gain-engine=shadow --runs 1 > /dev/null
+# Per-query gain cross-check under the sanitizers: the filter matches
+# KWayProbGain.PassCrossCheckEveryQuery (cached PROP-shaped passes on t4 at
+# k = 2, a k = 4 circuit and p1 at k = 8, every gains() answer compared
+# with the scratch oracle) and the other ProbGain* suites, which drive the
+# calculator's cache, kernel and emission paths against their oracles.
+echo "== gain cross-check suites (asan+ubsan) =="
+ctest --preset asan-ubsan -j "$jobs" -R 'ProbGain'
 
 # Auditor guard: PROP with the invariant auditor on must give the same cuts
 # as without it (the auditor only reads state); prop_drift exits 1 when a
