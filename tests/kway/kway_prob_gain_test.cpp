@@ -81,7 +81,7 @@ TEST(KWayProbGain, CachedMatchesScratchOracle) {
   calc.audit_consistency();
 }
 
-/// A cached-engine PROP-shaped pass with every gain read cross-checked
+/// A PROP-shaped pass with every gain read cross-checked
 /// against the scratch oracle.  Each pass starts with reset_uniform(pinit)
 /// and two Jacobi sweeps (all gains against the current probabilities,
 /// then all probabilities rewritten), then repeatedly moves the free node
