@@ -13,6 +13,7 @@
 #include "partition/runner.h"
 #include "partition/validate.h"
 #include "telemetry/telemetry.h"
+#include "json_round_trip.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -146,6 +147,7 @@ TEST(PropPassBound, LimitOfAtLeastNMatchesUnboundedRun) {
   const auto json = [](const RefineTelemetry& t) {
     std::ostringstream out;
     write_json(out, t, /*include_timing=*/false);
+    EXPECT_TRUE(testing::json_round_trips(out.str()));
     return out.str();
   };
   RefineTelemetry off;

@@ -28,6 +28,7 @@
 #include "service/algo_factory.h"
 #include "telemetry/telemetry.h"
 #include "util/rng.h"
+#include "json_round_trip.h"
 
 namespace prop {
 namespace {
@@ -67,6 +68,7 @@ void expect_golden(Bipartitioner& algo, const Hypergraph& g,
   json.include_timing = false;
   write_stats_json(out, g.name(), algo.name(), result, json);
   const std::string stats = out.str();
+  EXPECT_TRUE(testing::json_round_trips(stats)) << g.name();
   const std::vector<std::uint8_t>& side = result.best.side;
   const std::uint64_t sides = fnv1a(side.data(), side.size());
   EXPECT_EQ(hex(sides), hex(want.sides))
@@ -185,7 +187,10 @@ TEST(GoldenOutput, KWayPropRefineEngines) {
     std::snprintf(costs, sizeof costs, "%.17g %.17g %d ", out.cut_cost,
                   out.connectivity_cost, out.passes);
     stats << costs;
-    write_json(stats, telemetry, /*include_timing=*/false);
+    std::ostringstream passes;
+    write_json(passes, telemetry, /*include_timing=*/false);
+    EXPECT_TRUE(testing::json_round_trips(passes.str()));
+    stats << passes.str();
     const std::string text = stats.str();
     EXPECT_EQ(hex(fnv1a(part.data(), part.size() * sizeof(NodeId))),
               hex(c.want.sides))

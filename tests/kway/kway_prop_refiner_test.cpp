@@ -18,6 +18,7 @@
 #include "partition/kway_balance.h"
 #include "runtime/run_context.h"
 #include "telemetry/telemetry.h"
+#include "json_round_trip.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -236,6 +237,7 @@ TEST(KWayPropPassBound, LimitOfAtLeastNMatchesUnboundedRun) {
   const auto json = [](const RefineTelemetry& t) {
     std::ostringstream out;
     write_json(out, t, /*include_timing=*/false);
+    EXPECT_TRUE(testing::json_round_trips(out.str()));
     return out.str();
   };
   for (const KWayObjective objective :

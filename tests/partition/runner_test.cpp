@@ -11,6 +11,7 @@
 #include <string>
 
 #include "fm/fm_partitioner.h"
+#include "json_round_trip.h"
 #include "service/json.h"
 #include "testutil.h"
 #include "util/rng.h"
@@ -112,6 +113,7 @@ TEST(RunnerStatsJson, DoublesRoundTripAtFullPrecision) {
   std::ostringstream out;
   write_stats_json(out, "c", "a", r);
   const std::string json = out.str();
+  EXPECT_TRUE(testing::json_round_trips(json));
 
   EXPECT_EQ(std::strtod(json_value(json, "best_cut").c_str(), nullptr),
             0.1 + 0.2);
@@ -133,6 +135,7 @@ TEST(RunnerStatsJson, TimingKeysAreGatedByOptions) {
   std::ostringstream with_timing;
   write_stats_json(with_timing, "c", "fm", r);
   const std::string timed = with_timing.str();
+  EXPECT_TRUE(testing::json_round_trips(timed));
   for (const char* key :
        {"total_wall_seconds", "total_cpu_seconds", "wall_seconds_per_run",
         "cpu_seconds_per_run", "wall_seconds", "cpu_seconds"}) {
@@ -156,6 +159,7 @@ TEST(RunnerStatsJson, TimingKeysAreGatedByOptions) {
   json_options.include_timing = false;
   write_stats_json(without, "c", "fm", r, json_options);
   const std::string bare = without.str();
+  EXPECT_TRUE(testing::json_round_trips(bare));
   for (const char* key : {"seconds", "wall_seconds", "cpu_seconds"}) {
     EXPECT_EQ(bare.find(std::string("\"") + key + "\""), std::string::npos)
         << key;
@@ -180,6 +184,7 @@ TEST(RunnerStatsJson, HostileNamesAreEscaped) {
 
   std::ostringstream out;
   write_stats_json(out, circuit, algo, r);
+  EXPECT_TRUE(testing::json_round_trips(out.str()));
   std::string error;
   const auto doc = service::json_parse(out.str(), &error);
   ASSERT_TRUE(doc.has_value()) << error << "\n" << out.str();
@@ -193,6 +198,7 @@ TEST(RunnerStatsJson, HostileNamesAreEscaped) {
   // An ordinary name is written as it is.
   std::ostringstream plain;
   write_stats_json(plain, "balu", "PROP", r);
+  EXPECT_TRUE(testing::json_round_trips(plain.str()));
   EXPECT_EQ(plain.str().rfind("{\"circuit\":\"balu\",\"algo\":\"PROP\",", 0),
             0u);
 }

@@ -17,6 +17,7 @@
 #include "partition/runner.h"
 #include "service/algo_factory.h"
 #include "service/json.h"
+#include "json_round_trip.h"
 
 namespace prop::service {
 namespace {
@@ -34,8 +35,13 @@ class Harness {
 
   bool line(const std::string& text) { return server_.handle_line(text); }
 
+  /// Every response line after drain(); each new line is checked to
+  /// parse and re-serialize to its own bytes.
   const std::vector<std::string>& responses() {
     server_.drain();
+    for (; checked_ < responses_.size(); ++checked_) {
+      EXPECT_TRUE(testing::json_round_trips(responses_[checked_]));
+    }
     return responses_;
   }
 
@@ -59,6 +65,7 @@ class Harness {
 
  private:
   std::vector<std::string> responses_;
+  std::size_t checked_ = 0;
   Server server_;  // after responses_: destroyed (and drained) first
 };
 
@@ -372,6 +379,59 @@ TEST(Server, StatsOpReportsCounters) {
   EXPECT_EQ(stats->find("accepted")->as_int64(), 1);
   EXPECT_EQ(stats->find("done")->as_int64(), 1);
   EXPECT_EQ(stats->find("responses")->as_int64(), 1);
+}
+
+/// Exact bytes of every server emitter with timing off: the protocol-error
+/// lines, the id-carrying rejection, the envelope of invalid, shed, done and
+/// failed jobs (status, embedded stats-json, partition, degradations) and
+/// the stats and shutdown ops.  A refactor of the writers must leave every
+/// line unchanged.
+TEST(Server, ResponseBytesArePinned) {
+  ServerConfig config;
+  config.workers = 1;
+  config.max_request_bytes = 160;
+  config.inject = "lanczos-stall";  // eig1 degrades, every run still done
+  Harness h(config);
+  const std::string lines[] = {
+      "{\"op\":\"submit\",\"id\":\"big\",\"hgr\":\"" + std::string(150, '1') +
+          "\"}",
+      "not json",
+      "[1]",
+      "{\"op\":\"frobnicate\"}",
+      "{\"op\":\"submit\",\"id\":\"q\\\"\\\\\\u0001x\",\"bogus\":1}",
+      "{\"op\":\"submit\",\"id\":\"none\",\"tenant\":\"t\\tab\"}",
+      "{\"op\":\"submit\",\"id\":\"odd\",\"circuit\":\"a\\\"b\\n\"}",
+      "{\"op\":\"submit\",\"id\":\"fm\",\"algo\":\"fm\","
+      "\"hgr\":\"2 4\\n1 2\\n2 3 4\\n\",\"seed\":3,\"runs\":2,"
+      "\"stats_timing\":false,\"return_partition\":true}",
+      "{\"op\":\"submit\",\"id\":\"fm\",\"circuit\":\"balu\"}",
+      "{\"op\":\"submit\",\"id\":\"eig\",\"algo\":\"eig1\","
+      "\"hgr\":\"3 4\\n1 2\\n2 3\\n3 4\\n\",\"stats_timing\":false}",
+      "{\"op\":\"submit\",\"id\":\"bad\",\"hgr\":\"2 4\\n1 2\\n\","
+      "\"stats_timing\":false}",
+  };
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(h.line(line));
+    h.server().drain();  // one job at a time: a fixed response order
+  }
+  ASSERT_TRUE(h.line("{\"op\":\"stats\"}"));
+  ASSERT_FALSE(h.line("{\"op\":\"shutdown\"}"));
+  const std::vector<std::string> want = {
+      R"js({"state":"invalid","status":{"code":"invalid_request","message":"request line of 185 bytes exceeds limit 160"}})js",
+      R"js({"state":"invalid","status":{"code":"invalid_request","message":"json: invalid literal at offset 0"}})js",
+      R"js({"state":"invalid","status":{"code":"invalid_request","message":"request must be a JSON object"}})js",
+      R"js({"state":"invalid","status":{"code":"invalid_request","message":"unknown op 'frobnicate' (submit|stats|shutdown)"}})js",
+      R"js({"id":"q\"\\\u0001x","state":"invalid","status":{"code":"invalid_request","message":"unknown field 'bogus'"}})js",
+      R"js({"id":"none","tenant":"t\tab","state":"invalid","attempts":0,"status":{"code":"invalid_request","message":"exactly one of 'circuit' and 'hgr' must be set"}})js",
+      R"js({"id":"odd","tenant":"default","state":"invalid","attempts":0,"status":{"code":"invalid_request","message":"unknown circuit 'a\"b\n'"}})js",
+      R"js({"id":"fm","tenant":"default","state":"done","attempts":1,"status":{"code":"ok"},"result":{"circuit":"inline","algo":"FM-bucket","outcome":"ok","best_cut":1,"best_seed":13604808898340030615,"runs_requested":2,"runs_attempted":2,"runs_failed":0,"run_records":[{"seed":13604808898340030615,"outcome":"ok","cut":1},{"seed":17027085370592858547,"outcome":"ok","cut":1}],"runs":[]},"partition":"0111"})js",
+      R"js({"id":"fm","tenant":"default","state":"invalid","attempts":0,"status":{"code":"invalid_request","message":"duplicate job id 'fm'"}})js",
+      R"js({"id":"eig","tenant":"default","state":"done","attempts":1,"status":{"code":"ok"},"result":{"circuit":"inline","algo":"EIG1","outcome":"ok","best_cut":1,"best_seed":6791897765849424158,"runs_requested":1,"runs_attempted":1,"runs_failed":0,"run_records":[{"seed":6791897765849424158,"outcome":"ok","cut":1,"degradations":[{"site":"eig1.lanczos","action":"random-order-fallback","detail":"eigensolver stalled; using shuffled ordering"}]}],"runs":[]},"degradations":[{"site":"eig1.lanczos","action":"random-order-fallback","detail":"eigensolver stalled; using shuffled ordering"}]})js",
+      R"js({"id":"bad","tenant":"default","state":"failed","attempts":1,"status":{"code":"invalid_request","message":"hgr: truncated net list"}})js",
+      R"js({"op":"stats","lines":12,"submitted":7,"accepted":3,"shed":0,"invalid":8,"done":2,"failed":1,"retries":0,"responses":11,"queue_depth":0,"max_queue_depth":1,"jobs":5})js",
+      R"js({"op":"shutdown","status":{"code":"ok"}})js",
+  };
+  EXPECT_EQ(h.responses(), want);
 }
 
 TEST(Server, ReturnPartitionIncludesSideVector) {

@@ -13,6 +13,7 @@
 #include "partition/runner.h"
 #include "spectral/eig1.h"
 #include "hypergraph/mcnc_suite.h"
+#include "json_round_trip.h"
 #include "testutil.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -57,6 +58,7 @@ TEST(RefineTelemetry, JsonContainsEveryField) {
   s.moves_accepted = 3;
   s.best_prefix_gain = 3.0;
   const std::string json = to_json(t);
+  EXPECT_TRUE(testing::json_round_trips(json));
   for (const char* key :
        {"\"pass\":0", "\"cut_before\":12", "\"cut_after\":9",
         "\"moves_attempted\":5", "\"moves_accepted\":3", "\"rollback_depth\":2",
@@ -248,6 +250,7 @@ TEST(RunMany, StatsJsonDumpIsWellFormed) {
   std::ostringstream out;
   write_stats_json(out, g.name(), prop_algo.name(), r);
   const std::string json = out.str();
+  EXPECT_TRUE(testing::json_round_trips(json));
   EXPECT_NE(json.find("\"circuit\":\"small\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"algo\":\"PROP\""), std::string::npos);
   EXPECT_NE(json.find("\"runs\":["), std::string::npos);
