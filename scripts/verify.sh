@@ -41,6 +41,18 @@ echo "== k-way quality + perf gate (release) =="
 ./build/bench/kway --fast --baseline BENCH_kway.json --assert-quality \
   --out build/BENCH_kway.json > /dev/null
 
+# Build-flag independence: the library compiles with -ffp-contract=off
+# (src/CMakeLists.txt), so a target with FMA instructions must give the
+# same golden bytes and bit-identical gains as the default x86-64 target.
+# Only meaningful (and only run) where the host CPU has FMA.
+if grep -qw fma /proc/cpuinfo 2>/dev/null; then
+  echo "== -march=native build: goldens + gain bit-identity =="
+  cmake -S . -B build-native -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-march=native > /dev/null
+  cmake --build build-native -j "$jobs" --target integration_test core_test
+  ctest --test-dir build-native -j "$jobs" -R 'GoldenOutput|ProbGain'
+fi
+
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== skipped sanitizer pass (--fast) =="
   exit 0
