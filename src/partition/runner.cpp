@@ -1,10 +1,7 @@
 #include "partition/runner.h"
 
-#include <cstdio>
 #include <exception>
 #include <future>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -14,76 +11,22 @@
 namespace prop {
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) for
-/// every string the stats JSON carries: circuit and algorithm names, status
-/// messages and degradation details.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Every double in the stats JSON goes through this one helper so all
-/// fields round-trip bit-for-bit (cut used to get precision 17 while the
-/// timing fields silently truncated at the default 6 digits).
-void put_double(std::ostream& out, double v) {
-  std::ostringstream s;
-  s.precision(17);
-  s << v;
-  out << s.str();
-}
-
-void write_json(std::ostream& out, const DegradationEvent& e) {
-  out << "{\"site\":\"" << json_escape(e.site) << "\",\"action\":\""
-      << json_escape(e.action) << "\"";
-  if (!e.detail.empty()) out << ",\"detail\":\"" << json_escape(e.detail) << "\"";
-  out << "}";
-}
-
-void write_json(std::ostream& out, const RunRecord& r, bool include_timing) {
-  out << "{\"seed\":" << r.seed << ",\"outcome\":\"" << to_string(r.status.code)
-      << "\"";
-  if (!r.status.message.empty()) {
-    out << ",\"message\":\"" << json_escape(r.status.message) << "\"";
-  }
-  if (r.produced_result()) {
-    out << ",\"cut\":";
-    put_double(out, r.cut);
-  }
+void write_json(JsonWriter& w, const RunRecord& r, bool include_timing) {
+  w.begin_object();
+  w.key("seed").value(r.seed);
+  w.key("outcome").value(to_string(r.status.code));
+  if (!r.status.message.empty()) w.key("message").value(r.status.message);
+  if (r.produced_result()) w.key("cut").value(r.cut);
   if (include_timing) {
-    out << ",\"wall_seconds\":";
-    put_double(out, r.wall_seconds);
-    out << ",\"cpu_seconds\":";
-    put_double(out, r.cpu_seconds);
+    w.key("wall_seconds").value(r.wall_seconds);
+    w.key("cpu_seconds").value(r.cpu_seconds);
   }
   if (!r.degradations.empty()) {
-    out << ",\"degradations\":[";
-    bool first = true;
-    for (const DegradationEvent& e : r.degradations) {
-      if (!first) out << ",";
-      first = false;
-      write_json(out, e);
-    }
-    out << "]";
+    w.key("degradations").begin_array();
+    for (const DegradationEvent& e : r.degradations) write_json(w, e);
+    w.end_array();
   }
-  out << "}";
+  w.end_object();
 }
 
 RunRecord make_record(RunOutcome& outcome, std::uint64_t seed) {
@@ -432,46 +375,44 @@ MultiRunResult run_many(Bipartitioner& partitioner, const Hypergraph& g,
   return run_many_sequential(partitioner, g, balance, runs, base_seed, options);
 }
 
+void write_json(JsonWriter& w, const DegradationEvent& e) {
+  w.begin_object();
+  w.key("site").value(e.site);
+  w.key("action").value(e.action);
+  if (!e.detail.empty()) w.key("detail").value(e.detail);
+  w.end_object();
+}
+
 void write_stats_json(std::ostream& out, const std::string& circuit,
                       const std::string& algo, const MultiRunResult& result,
                       const StatsJsonOptions& json_options) {
   const bool timing = json_options.include_timing;
-  out << "{\"circuit\":\"" << json_escape(circuit) << "\",\"algo\":\""
-      << json_escape(algo) << "\",\"outcome\":\"" << to_string(result.status.code) << "\"";
+  JsonWriter w(out);
+  w.begin_object();
+  w.key("circuit").value(circuit);
+  w.key("algo").value(algo);
+  w.key("outcome").value(to_string(result.status.code));
   if (!result.status.message.empty()) {
-    out << ",\"message\":\"" << json_escape(result.status.message) << "\"";
+    w.key("message").value(result.status.message);
   }
-  out << ",\"best_cut\":";
-  put_double(out, result.best_cut());
-  out << ",\"best_seed\":" << result.best_seed
-      << ",\"runs_requested\":" << result.runs_requested
-      << ",\"runs_attempted\":" << result.runs_attempted()
-      << ",\"runs_failed\":" << result.runs_failed();
+  w.key("best_cut").value(result.best_cut());
+  w.key("best_seed").value(result.best_seed);
+  w.key("runs_requested").value(result.runs_requested);
+  w.key("runs_attempted").value(result.runs_attempted());
+  w.key("runs_failed").value(result.runs_failed());
   if (timing) {
-    out << ",\"total_wall_seconds\":";
-    put_double(out, result.total_wall_seconds);
-    out << ",\"total_cpu_seconds\":";
-    put_double(out, result.total_cpu_seconds);
-    out << ",\"wall_seconds_per_run\":";
-    put_double(out, result.wall_seconds_per_run);
-    out << ",\"cpu_seconds_per_run\":";
-    put_double(out, result.cpu_seconds_per_run);
+    w.key("total_wall_seconds").value(result.total_wall_seconds);
+    w.key("total_cpu_seconds").value(result.total_cpu_seconds);
+    w.key("wall_seconds_per_run").value(result.wall_seconds_per_run);
+    w.key("cpu_seconds_per_run").value(result.cpu_seconds_per_run);
   }
-  out << ",\"run_records\":[";
-  bool first = true;
-  for (const RunRecord& r : result.records) {
-    if (!first) out << ",";
-    first = false;
-    write_json(out, r, timing);
-  }
-  out << "],\"runs\":[";
-  first = true;
-  for (const RunTelemetry& r : result.telemetry) {
-    if (!first) out << ",";
-    first = false;
-    write_json(out, r, timing);
-  }
-  out << "]}";
+  w.key("run_records").begin_array();
+  for (const RunRecord& r : result.records) write_json(w, r, timing);
+  w.end_array();
+  w.key("runs").begin_array();
+  for (const RunTelemetry& r : result.telemetry) write_json(w, r, timing);
+  w.end_array();
+  w.end_object();
 }
 
 }  // namespace prop

@@ -171,6 +171,11 @@ struct StatsJsonOptions {
   bool include_timing = true;
 };
 
+/// The degradation object {"site": ..., "action": ..., "detail": ...}
+/// (detail omitted when empty), shared by stats-json run_records and the
+/// service's response envelope.
+void write_json(JsonWriter& w, const DegradationEvent& e);
+
 /// Dumps a multi-run trajectory as one JSON object:
 ///   {"circuit": ..., "algo": ..., "outcome": ..., "best_cut": ...,
 ///    "run_records": [...], "runs": [...]}

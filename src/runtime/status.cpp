@@ -1,5 +1,7 @@
 #include "runtime/status.h"
 
+#include "util/json_writer.h"
+
 namespace prop {
 
 const char* to_string(StatusCode code) noexcept {
@@ -18,19 +20,6 @@ const char* to_string(StatusCode code) noexcept {
   return "unknown";
 }
 
-std::optional<StatusCode> status_code_from_name(std::string_view name) noexcept {
-  // The enum is small and this only runs on wire-format parses, so a linear
-  // scan over the canonical names keeps the two directions trivially in sync.
-  for (const StatusCode code :
-       {StatusCode::kOk, StatusCode::kBudgetExhausted, StatusCode::kCancelled,
-        StatusCode::kInjectedFault, StatusCode::kEigensolverStalled,
-        StatusCode::kInvalidResult, StatusCode::kSkipped, StatusCode::kError,
-        StatusCode::kShedOverload, StatusCode::kInvalidRequest}) {
-    if (name == to_string(code)) return code;
-  }
-  return std::nullopt;
-}
-
 std::string Status::describe() const {
   std::string out = to_string(code);
   if (!message.empty()) {
@@ -38,6 +27,13 @@ std::string Status::describe() const {
     out += message;
   }
   return out;
+}
+
+void write_json(JsonWriter& w, const Status& status) {
+  w.begin_object();
+  w.key("code").value(to_string(status.code));
+  if (!status.message.empty()) w.key("message").value(status.message);
+  w.end_object();
 }
 
 }  // namespace prop

@@ -7,11 +7,11 @@
 // not as an exception that aborts a whole multi-start experiment.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace prop {
+
+class JsonWriter;
 
 enum class StatusCode {
   kOk,                 ///< run completed normally
@@ -29,10 +29,6 @@ enum class StatusCode {
 /// Stable snake_case identifier used in --stats-json and log lines.
 const char* to_string(StatusCode code) noexcept;
 
-/// Inverse of to_string, for wire-format parsing (service protocol).
-/// Returns nullopt for an unknown identifier.
-std::optional<StatusCode> status_code_from_name(std::string_view name) noexcept;
-
 struct Status {
   StatusCode code = StatusCode::kOk;
   std::string message;  ///< empty for kOk
@@ -48,5 +44,9 @@ struct Status {
   /// name when there is no message).
   std::string describe() const;
 };
+
+/// {"code": "ok"} / {"code": "injected_fault", "message": "..."}: the status
+/// object of the service's responses (message omitted when empty).
+void write_json(JsonWriter& w, const Status& status);
 
 }  // namespace prop

@@ -1,6 +1,5 @@
 #include "service/json.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
@@ -12,13 +11,6 @@ namespace {
 /// spec or stats blob, shallow enough that a "[[[[..." bomb cannot blow the
 /// parser's recursion.
 constexpr int kMaxDepth = 64;
-
-std::string format_double(double v) {
-  std::ostringstream s;
-  s.precision(17);
-  s << v;
-  return s.str();
-}
 
 class Parser {
  public:
@@ -275,18 +267,6 @@ JsonValue JsonValue::number_lexeme(std::string lexeme) {
   return v;
 }
 
-JsonValue JsonValue::number(double value) {
-  return number_lexeme(format_double(value));
-}
-
-JsonValue JsonValue::number(std::int64_t value) {
-  return number_lexeme(std::to_string(value));
-}
-
-JsonValue JsonValue::number(std::uint64_t value) {
-  return number_lexeme(std::to_string(value));
-}
-
 JsonValue JsonValue::string(std::string s) {
   JsonValue v;
   v.type_ = Type::kString;
@@ -342,44 +322,39 @@ void JsonValue::set(std::string key, JsonValue v) {
   }
 }
 
-void JsonValue::write(std::ostream& out) const {
+void JsonValue::write(JsonWriter& w) const {
   switch (type_) {
     case Type::kNull:
-      out << "null";
+      w.raw("null");
       return;
     case Type::kBool:
-      out << (bool_ ? "true" : "false");
+      w.value(bool_);
       return;
     case Type::kNumber:
-      out << scalar_;
+      w.raw(scalar_);
       return;
     case Type::kString:
-      out << '"' << json_escape(scalar_) << '"';
+      w.value(scalar_);
       return;
-    case Type::kArray: {
-      out << '[';
-      bool first = true;
-      for (const JsonValue& item : items_) {
-        if (!first) out << ',';
-        first = false;
-        item.write(out);
-      }
-      out << ']';
+    case Type::kArray:
+      w.begin_array();
+      for (const JsonValue& item : items_) item.write(w);
+      w.end_array();
       return;
-    }
-    case Type::kObject: {
-      out << '{';
-      bool first = true;
+    case Type::kObject:
+      w.begin_object();
       for (const Member& m : members_) {
-        if (!first) out << ',';
-        first = false;
-        out << '"' << json_escape(m.first) << "\":";
-        m.second.write(out);
+        w.key(m.first);
+        m.second.write(w);
       }
-      out << '}';
+      w.end_object();
       return;
-    }
   }
+}
+
+void JsonValue::write(std::ostream& out) const {
+  JsonWriter w(out);
+  write(w);
 }
 
 std::string JsonValue::dump() const {
@@ -390,33 +365,6 @@ std::string JsonValue::dump() const {
 
 std::optional<JsonValue> json_parse(std::string_view text, std::string* error) {
   return Parser(text).parse(error);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void json_put_double(std::ostream& out, double v) {
-  out << format_double(v);
 }
 
 }  // namespace prop::service

@@ -1,11 +1,13 @@
-// Minimal JSON value / parser / writer for the service wire protocol.
+// Minimal JSON value and parser for the service wire protocol.
 //
 // The service layer promises byte-identical re-serialization of everything
-// the suite itself emits (write_stats_json, the wire formats in wire.h), so
-// JsonValue deliberately keeps the *lexeme* of every number instead of a
-// decoded double: 64-bit seeds survive above 2^53, "3" stays "3", and a
+// the suite itself emits (stats-json, every server response), so JsonValue
+// deliberately keeps the *lexeme* of every number instead of a decoded
+// double: 64-bit seeds survive above 2^53, "3" stays "3", and a
 // precision-17 double round-trips bit-for-bit.  Object member order is
-// preserved for the same reason.
+// preserved for the same reason.  write()/dump() go through the one
+// JsonWriter (util/json_writer.h), so a parsed document re-serializes with
+// the escaping it was written with.
 //
 // Parsing is from untrusted clients: the parser never throws past its API
 // (json_parse returns nullopt + a diagnostic), enforces a nesting-depth cap
@@ -22,7 +24,12 @@
 #include <utility>
 #include <vector>
 
+#include "util/json_writer.h"
+
 namespace prop::service {
+
+/// The writer's escaper, also reachable under its former service name.
+using prop::json_escape;
 
 class JsonValue {
  public:
@@ -35,11 +42,6 @@ class JsonValue {
   static JsonValue boolean(bool b);
   /// Number from a pre-formed lexeme (must be a valid JSON number).
   static JsonValue number_lexeme(std::string lexeme);
-  /// Number from a double, formatted at round-trip precision (17 digits) —
-  /// the same formatting write_stats_json uses.
-  static JsonValue number(double v);
-  static JsonValue number(std::int64_t v);
-  static JsonValue number(std::uint64_t v);
   static JsonValue string(std::string s);
   static JsonValue array();
   static JsonValue object();
@@ -70,9 +72,9 @@ class JsonValue {
   void push_back(JsonValue v);
   void set(std::string key, JsonValue v);
 
-  /// Compact serialization: no whitespace, members in insertion order,
-  /// numbers emitted as their lexeme, strings escaped exactly like the
-  /// stats-JSON writer.
+  /// Compact serialization through JsonWriter: no whitespace, members in
+  /// insertion order, numbers emitted as their lexeme.
+  void write(JsonWriter& w) const;
   void write(std::ostream& out) const;
   std::string dump() const;
 
@@ -89,13 +91,5 @@ class JsonValue {
 /// with a "json: ..." diagnostic on malformed input.
 std::optional<JsonValue> json_parse(std::string_view text,
                                     std::string* error = nullptr);
-
-/// Escapes quotes, backslashes and control characters — the exact escaping
-/// used by write_stats_json, so service output parses back byte-identically.
-std::string json_escape(std::string_view s);
-
-/// Round-trip (precision-17) double formatting shared by every service
-/// writer.
-void json_put_double(std::ostream& out, double v);
 
 }  // namespace prop::service

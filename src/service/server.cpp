@@ -73,6 +73,21 @@ Status validate_spec(const JobSpec& spec, const HgrLimits& limits) {
   return Status::success();
 }
 
+/// A protocol-level rejection: {"id":...,"state":"invalid","status":{...}},
+/// the id only when the request carried a string one.
+std::string invalid_line(const Status& status,
+                         const std::string* id = nullptr) {
+  std::ostringstream out;
+  JsonWriter w(out);
+  w.begin_object();
+  if (id) w.key("id").value(*id);
+  w.key("state").value("invalid");
+  w.key("status");
+  write_json(w, status);
+  w.end_object();
+  return out.str();
+}
+
 }  // namespace
 
 Server::Server(ServerConfig config, ResponseSink sink)
@@ -139,25 +154,29 @@ std::string Server::envelope(
     const std::vector<DegradationEvent>& degradations, double queue_ms,
     double exec_ms) const {
   std::ostringstream out;
-  out << "{\"id\":\"" << json_escape(spec.id) << "\",\"tenant\":\""
-      << json_escape(spec.tenant) << "\",\"state\":\"" << to_string(state)
-      << "\",\"attempts\":" << attempts
-      << ",\"status\":" << status_to_json(status).dump();
-  if (!result_json.empty()) out << ",\"result\":" << result_json;
-  if (!partition.empty()) out << ",\"partition\":\"" << partition << "\"";
+  JsonWriter w(out);
+  w.begin_object();
+  w.key("id").value(spec.id);
+  w.key("tenant").value(spec.tenant);
+  w.key("state").value(to_string(state));
+  w.key("attempts").value(attempts);
+  w.key("status");
+  write_json(w, status);
+  if (!result_json.empty()) w.key("result").raw(result_json);
+  if (!partition.empty()) w.key("partition").value(partition);
   if (!degradations.empty()) {
-    out << ",\"degradations\":" << degradations_to_json(degradations).dump();
+    w.key("degradations").begin_array();
+    for (const DegradationEvent& e : degradations) write_json(w, e);
+    w.end_array();
   }
   // Timing is the one schedule-dependent part of a response; it rides on the
   // same opt-out as the result's timing fields so stats_timing=false yields
   // fully load-independent bytes.
   if (attempts > 0 && spec.stats_timing) {
-    out << ",\"queue_ms\":";
-    json_put_double(out, queue_ms);
-    out << ",\"exec_ms\":";
-    json_put_double(out, exec_ms);
+    w.key("queue_ms").value(queue_ms);
+    w.key("exec_ms").value(exec_ms);
   }
-  out << "}";
+  w.end_object();
   return out.str();
 }
 
@@ -171,8 +190,7 @@ bool Server::handle_line(const std::string& line) {
         StatusCode::kInvalidRequest,
         "request line of " + std::to_string(line.size()) +
             " bytes exceeds limit " + std::to_string(config_.max_request_bytes));
-    emit("{\"state\":\"invalid\",\"status\":" + status_to_json(status).dump() +
-         "}");
+    emit(invalid_line(status));
     return true;
   }
 
@@ -183,8 +201,7 @@ bool Server::handle_line(const std::string& line) {
     const Status status = Status::failure(
         StatusCode::kInvalidRequest,
         doc ? "request must be a JSON object" : error);
-    emit("{\"state\":\"invalid\",\"status\":" + status_to_json(status).dump() +
-         "}");
+    emit(invalid_line(status));
     return true;
   }
 
@@ -196,14 +213,22 @@ bool Server::handle_line(const std::string& line) {
   if (op == "stats") {
     const ServerStats s = stats();
     std::ostringstream out;
-    out << "{\"op\":\"stats\",\"lines\":" << s.lines
-        << ",\"submitted\":" << s.submitted << ",\"accepted\":" << s.accepted
-        << ",\"shed\":" << s.shed << ",\"invalid\":" << s.invalid
-        << ",\"done\":" << s.done << ",\"failed\":" << s.failed
-        << ",\"retries\":" << s.retries << ",\"responses\":" << s.responses
-        << ",\"queue_depth\":" << queue_.depth()
-        << ",\"max_queue_depth\":" << s.max_queue_depth
-        << ",\"jobs\":" << store_.size() << "}";
+    JsonWriter w(out);
+    w.begin_object();
+    w.key("op").value("stats");
+    w.key("lines").value(s.lines);
+    w.key("submitted").value(s.submitted);
+    w.key("accepted").value(s.accepted);
+    w.key("shed").value(s.shed);
+    w.key("invalid").value(s.invalid);
+    w.key("done").value(s.done);
+    w.key("failed").value(s.failed);
+    w.key("retries").value(s.retries);
+    w.key("responses").value(s.responses);
+    w.key("queue_depth").value(queue_.depth());
+    w.key("max_queue_depth").value(s.max_queue_depth);
+    w.key("jobs").value(store_.size());
+    w.end_object();
     emit(out.str());
     return true;
   }
@@ -219,8 +244,7 @@ bool Server::handle_line(const std::string& line) {
     const Status status =
         Status::failure(StatusCode::kInvalidRequest,
                         "unknown op '" + op + "' (submit|stats|shutdown)");
-    emit("{\"state\":\"invalid\",\"status\":" + status_to_json(status).dump() +
-         "}");
+    emit(invalid_line(status));
     return true;
   }
 
@@ -229,13 +253,9 @@ bool Server::handle_line(const std::string& line) {
   if (!spec) {
     invalid_.fetch_add(1, std::memory_order_relaxed);
     const Status status = Status::failure(StatusCode::kInvalidRequest, error);
-    std::string id_field;
-    if (const JsonValue* id = doc->find("id"); id && id->is_string()) {
-      id_field = "\"id\":\"" + json_escape(id->as_string()) + "\",";
-    }
-    emit("{" + id_field +
-         "\"state\":\"invalid\",\"status\":" + status_to_json(status).dump() +
-         "}");
+    const JsonValue* id = doc->find("id");
+    emit(invalid_line(status, id && id->is_string() ? &id->as_string()
+                                                    : nullptr));
     return true;
   }
   submit(std::move(*spec));

@@ -1,7 +1,5 @@
 #include "service/wire.h"
 
-#include <limits>
-
 namespace prop::service {
 namespace {
 
@@ -31,94 +29,6 @@ const JsonValue* expect(const JsonValue& v, const char* key,
 
 }  // namespace
 
-JsonValue status_to_json(const Status& status) {
-  JsonValue out = JsonValue::object();
-  out.set("code", JsonValue::string(to_string(status.code)));
-  if (!status.message.empty()) {
-    out.set("message", JsonValue::string(status.message));
-  }
-  return out;
-}
-
-std::optional<Status> status_from_json(const JsonValue& v, std::string* error) {
-  if (!v.is_object()) {
-    set_error(error, "status must be an object");
-    return std::nullopt;
-  }
-  bool ok = true;
-  const JsonValue* code =
-      expect(v, "code", JsonValue::Type::kString, true, error, &ok);
-  if (!code) return std::nullopt;
-  const auto parsed = status_code_from_name(code->as_string());
-  if (!parsed) {
-    set_error(error, "unknown status code '" + code->as_string() + "'");
-    return std::nullopt;
-  }
-  Status out;
-  out.code = *parsed;
-  if (const JsonValue* message =
-          expect(v, "message", JsonValue::Type::kString, false, error, &ok)) {
-    out.message = message->as_string();
-  } else if (!ok) {
-    return std::nullopt;
-  }
-  return out;
-}
-
-JsonValue degradation_to_json(const DegradationEvent& event) {
-  JsonValue out = JsonValue::object();
-  out.set("site", JsonValue::string(event.site));
-  out.set("action", JsonValue::string(event.action));
-  if (!event.detail.empty()) out.set("detail", JsonValue::string(event.detail));
-  return out;
-}
-
-std::optional<DegradationEvent> degradation_from_json(const JsonValue& v,
-                                                      std::string* error) {
-  if (!v.is_object()) {
-    set_error(error, "degradation must be an object");
-    return std::nullopt;
-  }
-  bool ok = true;
-  const JsonValue* site =
-      expect(v, "site", JsonValue::Type::kString, true, error, &ok);
-  const JsonValue* action =
-      expect(v, "action", JsonValue::Type::kString, true, error, &ok);
-  if (!site || !action) return std::nullopt;
-  DegradationEvent out;
-  out.site = site->as_string();
-  out.action = action->as_string();
-  if (const JsonValue* detail =
-          expect(v, "detail", JsonValue::Type::kString, false, error, &ok)) {
-    out.detail = detail->as_string();
-  } else if (!ok) {
-    return std::nullopt;
-  }
-  return out;
-}
-
-JsonValue degradations_to_json(const std::vector<DegradationEvent>& events) {
-  JsonValue out = JsonValue::array();
-  for (const DegradationEvent& e : events) out.push_back(degradation_to_json(e));
-  return out;
-}
-
-std::optional<std::vector<DegradationEvent>> degradations_from_json(
-    const JsonValue& v, std::string* error) {
-  if (!v.is_array()) {
-    set_error(error, "degradations must be an array");
-    return std::nullopt;
-  }
-  std::vector<DegradationEvent> out;
-  out.reserve(v.items().size());
-  for (const JsonValue& item : v.items()) {
-    auto event = degradation_from_json(item, error);
-    if (!event) return std::nullopt;
-    out.push_back(std::move(*event));
-  }
-  return out;
-}
-
 std::string encode_side(const std::vector<std::uint8_t>& side) {
   std::string out;
   out.reserve(side.size());
@@ -142,90 +52,6 @@ std::optional<std::vector<std::uint8_t>> decode_side(const std::string& s) {
     } else {
       return std::nullopt;
     }
-  }
-  return out;
-}
-
-JsonValue run_outcome_to_json(const RunOutcome& outcome,
-                              const RunOutcomeJsonOptions& options) {
-  JsonValue out = JsonValue::object();
-  out.set("status", status_to_json(outcome.status));
-  if (outcome.has_result()) {
-    out.set("cut", JsonValue::number(outcome.result.cut_cost));
-    out.set("passes",
-            JsonValue::number(static_cast<std::int64_t>(outcome.result.passes)));
-    if (options.include_side) {
-      out.set("side", JsonValue::string(encode_side(outcome.result.side)));
-    }
-  }
-  if (options.include_timing) {
-    out.set("wall_seconds", JsonValue::number(outcome.wall_seconds));
-    out.set("cpu_seconds", JsonValue::number(outcome.cpu_seconds));
-  }
-  if (!outcome.degradations.empty()) {
-    out.set("degradations", degradations_to_json(outcome.degradations));
-  }
-  return out;
-}
-
-std::optional<RunOutcome> run_outcome_from_json(const JsonValue& v,
-                                                std::string* error) {
-  if (!v.is_object()) {
-    set_error(error, "run outcome must be an object");
-    return std::nullopt;
-  }
-  bool ok = true;
-  const JsonValue* status =
-      expect(v, "status", JsonValue::Type::kObject, true, error, &ok);
-  if (!status) return std::nullopt;
-  auto parsed_status = status_from_json(*status, error);
-  if (!parsed_status) return std::nullopt;
-
-  RunOutcome out;
-  out.status = std::move(*parsed_status);
-  if (const JsonValue* side =
-          expect(v, "side", JsonValue::Type::kString, false, error, &ok)) {
-    auto decoded = decode_side(side->as_string());
-    if (!decoded) {
-      set_error(error, "field 'side' must be a 0/1 string");
-      return std::nullopt;
-    }
-    out.result.side = std::move(*decoded);
-  } else if (!ok) {
-    return std::nullopt;
-  }
-  if (const JsonValue* cut =
-          expect(v, "cut", JsonValue::Type::kNumber, false, error, &ok)) {
-    out.result.cut_cost = cut->as_double();
-  } else if (!ok) {
-    return std::nullopt;
-  }
-  if (const JsonValue* passes =
-          expect(v, "passes", JsonValue::Type::kNumber, false, error, &ok)) {
-    out.result.passes = static_cast<int>(passes->as_int64());
-  } else if (!ok) {
-    return std::nullopt;
-  }
-  if (const JsonValue* wall = expect(v, "wall_seconds",
-                                     JsonValue::Type::kNumber, false, error,
-                                     &ok)) {
-    out.wall_seconds = wall->as_double();
-  } else if (!ok) {
-    return std::nullopt;
-  }
-  if (const JsonValue* cpu = expect(v, "cpu_seconds", JsonValue::Type::kNumber,
-                                    false, error, &ok)) {
-    out.cpu_seconds = cpu->as_double();
-  } else if (!ok) {
-    return std::nullopt;
-  }
-  if (const JsonValue* degradations = expect(
-          v, "degradations", JsonValue::Type::kArray, false, error, &ok)) {
-    auto events = degradations_from_json(*degradations, error);
-    if (!events) return std::nullopt;
-    out.degradations = std::move(*events);
-  } else if (!ok) {
-    return std::nullopt;
   }
   return out;
 }
@@ -396,28 +222,6 @@ std::optional<JobSpec> job_spec_from_json(const JsonValue& v,
     return std::nullopt;
   }
   return spec;
-}
-
-JsonValue job_spec_to_json(const JobSpec& spec) {
-  JsonValue out = JsonValue::object();
-  out.set("id", JsonValue::string(spec.id));
-  out.set("tenant", JsonValue::string(spec.tenant));
-  out.set("priority", JsonValue::number(static_cast<std::int64_t>(spec.priority)));
-  out.set("algo", JsonValue::string(spec.algo));
-  if (!spec.circuit.empty()) out.set("circuit", JsonValue::string(spec.circuit));
-  if (!spec.hgr.empty()) out.set("hgr", JsonValue::string(spec.hgr));
-  out.set("runs", JsonValue::number(static_cast<std::int64_t>(spec.runs)));
-  out.set("seed", JsonValue::number(spec.seed));
-  out.set("balance", JsonValue::string(spec.balance));
-  out.set("deadline_ms", JsonValue::number(spec.deadline_ms));
-  out.set("max_retries",
-          JsonValue::number(static_cast<std::int64_t>(spec.max_retries)));
-  out.set("stats_timing", JsonValue::boolean(spec.stats_timing));
-  out.set("return_partition", JsonValue::boolean(spec.return_partition));
-  out.set("k", JsonValue::number(static_cast<std::int64_t>(spec.k)));
-  out.set("kway_refiner", JsonValue::string(spec.kway_refiner));
-  out.set("kway_objective", JsonValue::string(spec.kway_objective));
-  return out;
 }
 
 }  // namespace prop::service

@@ -1,12 +1,9 @@
-// Wire format of the partitioning service: job specs in, Status /
-// RunOutcome / degradation trails out.
-//
-// The protocol reuses the runtime layer's failures-as-data types directly,
-// which makes their JSON encodings a public contract: serialize -> parse ->
-// re-serialize must be byte-identical (tests/service/wire_roundtrip_test).
-// All encoders build lexeme-preserving JsonValues (json.h) with fixed member
-// order; all decoders are exception-free (nullopt + diagnostic) because they
-// face untrusted clients.
+// Request side of the service wire protocol: the JobSpec a client submits
+// and its strict parser, plus the compact partition encoding a response
+// carries.  Responses are written by the server through JsonWriter
+// (util/json_writer.h); their exact bytes are pinned by
+// Server.ResponseBytesArePinned.  The parser faces untrusted clients, so it
+// is exception-free (nullopt + diagnostic) and rejects unknown fields.
 #pragma once
 
 #include <cstdint>
@@ -15,32 +12,9 @@
 #include <vector>
 
 #include "kway/kway_partitioner.h"
-#include "partition/runner.h"
-#include "runtime/run_context.h"
-#include "runtime/status.h"
 #include "service/json.h"
 
 namespace prop::service {
-
-// --- Status -----------------------------------------------------------------
-
-/// {"code":"ok"} / {"code":"injected_fault","message":"..."}
-JsonValue status_to_json(const Status& status);
-std::optional<Status> status_from_json(const JsonValue& v, std::string* error);
-
-// --- DegradationEvent / DegradationLog ---------------------------------------
-
-/// {"site":"...","action":"...","detail":"..."} (detail omitted when empty) —
-/// the exact shape write_stats_json emits inside run_records.
-JsonValue degradation_to_json(const DegradationEvent& event);
-std::optional<DegradationEvent> degradation_from_json(const JsonValue& v,
-                                                      std::string* error);
-
-JsonValue degradations_to_json(const std::vector<DegradationEvent>& events);
-std::optional<std::vector<DegradationEvent>> degradations_from_json(
-    const JsonValue& v, std::string* error);
-
-// --- RunOutcome ---------------------------------------------------------------
 
 /// Compact one-character-per-node encoding of a partition side / part-id
 /// vector: values 0-9 as digits, 10-35 as 'a'-'z' (base 36, k <= 36 on the
@@ -48,19 +22,6 @@ std::optional<std::vector<DegradationEvent>> degradations_from_json(
 /// clients see unchanged bytes.
 std::string encode_side(const std::vector<std::uint8_t>& side);
 std::optional<std::vector<std::uint8_t>> decode_side(const std::string& s);
-
-struct RunOutcomeJsonOptions {
-  /// Timing is the one schedule-dependent field; excluded for the
-  /// byte-identical determinism contract.
-  bool include_timing = true;
-  /// The partition side vector can dominate the payload; clients opt in.
-  bool include_side = true;
-};
-
-JsonValue run_outcome_to_json(const RunOutcome& outcome,
-                              const RunOutcomeJsonOptions& options = {});
-std::optional<RunOutcome> run_outcome_from_json(const JsonValue& v,
-                                                std::string* error);
 
 // --- Job specs ----------------------------------------------------------------
 
@@ -98,9 +59,5 @@ struct JobSpec {
 /// job).  `op` is accepted and ignored — the server dispatches on it first.
 std::optional<JobSpec> job_spec_from_json(const JsonValue& v,
                                           std::string* error);
-
-/// Inverse of job_spec_from_json (load generators, tests).  Defaults are
-/// emitted explicitly so a spec round-trips field-for-field.
-JsonValue job_spec_to_json(const JobSpec& spec);
 
 }  // namespace prop::service

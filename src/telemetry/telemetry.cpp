@@ -1,21 +1,6 @@
 #include "telemetry/telemetry.h"
 
-#include <ostream>
-#include <sstream>
-
 namespace prop {
-namespace {
-
-/// Doubles are emitted with enough digits to round-trip (cut costs are
-/// often exact integers; drift values are tiny).
-void put_double(std::ostream& out, double v) {
-  std::ostringstream s;
-  s.precision(17);
-  s << v;
-  out << s.str();
-}
-
-}  // namespace
 
 PassStats& RefineTelemetry::begin_pass(double cut_before) {
   PassStats s;
@@ -65,63 +50,44 @@ GainContainerOps RefineTelemetry::total_ops() const noexcept {
   return total;
 }
 
-void write_json(std::ostream& out, const PassStats& s, bool include_timing) {
-  out << "{\"pass\":" << s.pass;
-  out << ",\"cut_before\":";
-  put_double(out, s.cut_before);
-  out << ",\"cut_after\":";
-  put_double(out, s.cut_after);
-  out << ",\"moves_attempted\":" << s.moves_attempted;
-  out << ",\"moves_accepted\":" << s.moves_accepted;
-  out << ",\"rollback_depth\":" << s.rollback_depth();
-  out << ",\"best_prefix_gain\":";
-  put_double(out, s.best_prefix_gain);
+void write_json(JsonWriter& w, const PassStats& s, bool include_timing) {
+  w.begin_object();
+  w.key("pass").value(s.pass);
+  w.key("cut_before").value(s.cut_before);
+  w.key("cut_after").value(s.cut_after);
+  w.key("moves_attempted").value(s.moves_attempted);
+  w.key("moves_accepted").value(s.moves_accepted);
+  w.key("rollback_depth").value(s.rollback_depth());
+  w.key("best_prefix_gain").value(s.best_prefix_gain);
   if (include_timing) {
-    out << ",\"wall_seconds\":";
-    put_double(out, s.wall_seconds);
-    out << ",\"cpu_seconds\":";
-    put_double(out, s.cpu_seconds);
+    w.key("wall_seconds").value(s.wall_seconds);
+    w.key("cpu_seconds").value(s.cpu_seconds);
   }
-  out << ",\"container_ops\":{\"inserts\":" << s.ops.inserts
-      << ",\"erases\":" << s.ops.erases << ",\"updates\":" << s.ops.updates
-      << "}";
-  out << ",\"refresh_skips\":" << s.refresh_skips;
-  out << ",\"audits\":" << s.audits;
-  out << ",\"max_gain_drift\":";
-  put_double(out, s.max_gain_drift);
-  out << "}";
+  w.key("container_ops").begin_object();
+  w.key("inserts").value(s.ops.inserts);
+  w.key("erases").value(s.ops.erases);
+  w.key("updates").value(s.ops.updates);
+  w.end_object();
+  w.key("refresh_skips").value(s.refresh_skips);
+  w.key("audits").value(s.audits);
+  w.key("max_gain_drift").value(s.max_gain_drift);
+  w.end_object();
 }
 
-void write_json(std::ostream& out, const RefineTelemetry& t,
-                bool include_timing) {
-  out << "[";
-  bool first = true;
-  for (const PassStats& s : t.passes) {
-    if (!first) out << ",";
-    first = false;
-    write_json(out, s, include_timing);
-  }
-  out << "]";
+void write_json(JsonWriter& w, const RefineTelemetry& t, bool include_timing) {
+  w.begin_array();
+  for (const PassStats& s : t.passes) write_json(w, s, include_timing);
+  w.end_array();
 }
 
-void write_json(std::ostream& out, const RunTelemetry& r,
-                bool include_timing) {
-  out << "{\"seed\":" << r.seed;
-  out << ",\"cut\":";
-  put_double(out, r.cut);
-  if (include_timing) {
-    out << ",\"seconds\":";
-    put_double(out, r.seconds);
-  }
-  out << ",\"passes\":";
-  write_json(out, r.refine, include_timing);
-  out << "}";
-}
-
-std::string to_json(const RefineTelemetry& t) {
-  std::ostringstream out;
-  write_json(out, t);
-  return out.str();
+void write_json(JsonWriter& w, const RunTelemetry& r, bool include_timing) {
+  w.begin_object();
+  w.key("seed").value(r.seed);
+  w.key("cut").value(r.cut);
+  if (include_timing) w.key("seconds").value(r.seconds);
+  w.key("passes");
+  write_json(w, r.refine, include_timing);
+  w.end_object();
 }
 
 }  // namespace prop

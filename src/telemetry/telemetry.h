@@ -15,9 +15,9 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
+
+#include "util/json_writer.h"
 
 namespace prop {
 
@@ -91,16 +91,14 @@ struct RunTelemetry {
   RefineTelemetry refine;
 };
 
-// JSON emission (hand-rolled; the schema is documented in EXPERIMENTS.md).
+// Component writers of the stats-json "runs" schema (EXPERIMENTS.md).
 // `include_timing = false` omits the measured wall/CPU seconds fields — the
 // one part of the schema that cannot be byte-identical across repeated or
 // parallel runs (see StatsJsonOptions in partition/runner.h).
-void write_json(std::ostream& out, const PassStats& s,
+void write_json(JsonWriter& w, const PassStats& s, bool include_timing = true);
+void write_json(JsonWriter& w, const RefineTelemetry& t,
                 bool include_timing = true);
-void write_json(std::ostream& out, const RefineTelemetry& t,
+void write_json(JsonWriter& w, const RunTelemetry& r,
                 bool include_timing = true);
-void write_json(std::ostream& out, const RunTelemetry& r,
-                bool include_timing = true);
-std::string to_json(const RefineTelemetry& t);
 
 }  // namespace prop

@@ -146,7 +146,8 @@ TEST(PropPassBound, LimitOfAtLeastNMatchesUnboundedRun) {
   const BalanceConstraint balance = BalanceConstraint::forty_five(g);
   const auto json = [](const RefineTelemetry& t) {
     std::ostringstream out;
-    write_json(out, t, /*include_timing=*/false);
+    JsonWriter w(out);
+    write_json(w, t, /*include_timing=*/false);
     EXPECT_TRUE(testing::json_round_trips(out.str()));
     return out.str();
   };

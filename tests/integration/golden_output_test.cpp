@@ -188,7 +188,8 @@ TEST(GoldenOutput, KWayPropRefineEngines) {
                   out.connectivity_cost, out.passes);
     stats << costs;
     std::ostringstream passes;
-    write_json(passes, telemetry, /*include_timing=*/false);
+    JsonWriter w(passes);
+    write_json(w, telemetry, /*include_timing=*/false);
     EXPECT_TRUE(testing::json_round_trips(passes.str()));
     stats << passes.str();
     const std::string text = stats.str();

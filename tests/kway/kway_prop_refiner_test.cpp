@@ -236,7 +236,8 @@ TEST(KWayPropPassBound, LimitOfAtLeastNMatchesUnboundedRun) {
   const Hypergraph g = testing::small_random_circuit(1237, 600, 780, 2400);
   const auto json = [](const RefineTelemetry& t) {
     std::ostringstream out;
-    write_json(out, t, /*include_timing=*/false);
+    JsonWriter w(out);
+    write_json(w, t, /*include_timing=*/false);
     EXPECT_TRUE(testing::json_round_trips(out.str()));
     return out.str();
   };

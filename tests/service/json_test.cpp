@@ -48,8 +48,8 @@ TEST(Json, DecodesEscapes) {
 }
 
 TEST(Json, EscapeMatchesStatsJsonWriter) {
-  // json_escape must agree with write_stats_json's escaping so service
-  // output re-serializes byte-identically.
+  // service::json_escape is the writer's escaper (util/json_writer.h), so
+  // service output re-serializes byte-identically.
   EXPECT_EQ(json_escape("a\"b\\c\nd\te\rf"), "a\\\"b\\\\c\\nd\\te\\rf");
   EXPECT_EQ(json_escape(std::string("x\x01y", 3)), "x\\u0001y");
 }
@@ -93,9 +93,9 @@ TEST(Json, EnforcesDepthCap) {
 
 TEST(Json, BuildersAndAccessors) {
   JsonValue obj = JsonValue::object();
-  obj.set("n", JsonValue::number(static_cast<std::int64_t>(-7)));
-  obj.set("u", JsonValue::number(static_cast<std::uint64_t>(1) << 60));
-  obj.set("d", JsonValue::number(0.5));
+  obj.set("n", JsonValue::number_lexeme("-7"));
+  obj.set("u", JsonValue::number_lexeme("1152921504606846976"));
+  obj.set("d", JsonValue::number_lexeme("0.5"));
   JsonValue arr = JsonValue::array();
   arr.push_back(JsonValue::boolean(true));
   arr.push_back(JsonValue::null());
@@ -112,7 +112,7 @@ TEST(Json, BuildersAndAccessors) {
 }
 
 TEST(Json, WrongTypeBuildersAreInert) {
-  JsonValue num = JsonValue::number(1.0);
+  JsonValue num = JsonValue::number_lexeme("1");
   num.set("k", JsonValue::null());   // no-op, not UB
   num.push_back(JsonValue::null());  // no-op
   EXPECT_TRUE(num.is_number());

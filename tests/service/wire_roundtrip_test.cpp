@@ -1,99 +1,77 @@
-// Satellite contract: the service wire encodings of the runtime types are
-// stable — serialize -> parse -> re-serialize is byte-identical.  Anything
-// that breaks these tests breaks recorded soak logs and every client.
+// The service's wire contract: the Status and degradation objects every
+// response carries (exact bytes, and parse -> dump stability), the
+// partition encoding, and the strict JobSpec parser.  Anything that breaks
+// these tests breaks recorded soak logs and every client.
 #include "service/wire.h"
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "json_round_trip.h"
+#include "partition/runner.h"
 #include "runtime/run_context.h"
 #include "runtime/status.h"
 #include "service/json.h"
+#include "util/json_writer.h"
 
 namespace prop::service {
 namespace {
 
-/// serialize -> parse -> re-serialize must reproduce the exact bytes.
-void expect_stable(const JsonValue& v, const std::string& label) {
-  const std::string first = v.dump();
-  std::string error;
-  const auto parsed = json_parse(first, &error);
-  ASSERT_TRUE(parsed.has_value()) << label << ": " << error;
-  EXPECT_EQ(parsed->dump(), first) << label;
+/// `value` through its component writer.
+template <typename T>
+std::string written(const T& value) {
+  std::ostringstream out;
+  JsonWriter w(out);
+  write_json(w, value);
+  return out.str();
 }
 
 TEST(WireRoundTrip, Status) {
-  const Status cases[] = {
-      Status::success(),
-      Status::failure(StatusCode::kBudgetExhausted, "deadline hit"),
-      Status::failure(StatusCode::kInjectedFault, "at serve-exec"),
-      Status::failure(StatusCode::kShedOverload, "depth 64 at limit 64"),
-      Status::failure(StatusCode::kInvalidRequest, "weird \"quoted\"\npayload"),
-      Status::failure(StatusCode::kError, ""),
+  const struct {
+    Status status;
+    const char* want;
+  } cases[] = {
+      {Status::success(), R"({"code":"ok"})"},
+      {Status::failure(StatusCode::kBudgetExhausted, "deadline hit"),
+       R"({"code":"budget_exhausted","message":"deadline hit"})"},
+      {Status::failure(StatusCode::kInvalidRequest, "weird \"quoted\"\npayload"),
+       R"({"code":"invalid_request","message":"weird \"quoted\"\npayload"})"},
+      {Status::failure(StatusCode::kError, ""), R"({"code":"error"})"},
   };
-  for (const Status& status : cases) {
-    const JsonValue encoded = status_to_json(status);
-    expect_stable(encoded, "status " + std::string(to_string(status.code)));
-
-    std::string error;
-    const auto decoded = status_from_json(encoded, &error);
-    ASSERT_TRUE(decoded.has_value()) << error;
-    EXPECT_EQ(decoded->code, status.code);
-    EXPECT_EQ(decoded->message, status.message);
-    EXPECT_EQ(status_to_json(*decoded).dump(), encoded.dump());
+  for (const auto& c : cases) {
+    const std::string text = written(c.status);
+    EXPECT_EQ(text, c.want);
+    EXPECT_TRUE(testing::json_round_trips(text));
+    const auto parsed = json_parse(text);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->find("code")->as_string(), to_string(c.status.code));
+    const JsonValue* message = parsed->find("message");
+    EXPECT_EQ(message ? message->as_string() : "", c.status.message);
   }
-}
-
-TEST(WireRoundTrip, StatusRejectsUnknownCode) {
-  const auto doc = json_parse("{\"code\":\"not_a_code\"}");
-  ASSERT_TRUE(doc.has_value());
-  std::string error;
-  EXPECT_FALSE(status_from_json(*doc, &error).has_value());
-  EXPECT_NE(error.find("not_a_code"), std::string::npos) << error;
-}
-
-TEST(WireRoundTrip, EveryStatusCodeNameParsesBack) {
-  const StatusCode codes[] = {
-      StatusCode::kOk,           StatusCode::kBudgetExhausted,
-      StatusCode::kCancelled,    StatusCode::kInjectedFault,
-      StatusCode::kEigensolverStalled, StatusCode::kInvalidResult,
-      StatusCode::kSkipped,      StatusCode::kError,
-      StatusCode::kShedOverload, StatusCode::kInvalidRequest,
-  };
-  for (const StatusCode code : codes) {
-    const auto parsed = status_code_from_name(to_string(code));
-    ASSERT_TRUE(parsed.has_value()) << to_string(code);
-    EXPECT_EQ(*parsed, code);
-  }
-  EXPECT_FALSE(status_code_from_name("bogus").has_value());
 }
 
 TEST(WireRoundTrip, DegradationEvents) {
-  const DegradationEvent single{"eig1.lanczos", "random-order-fallback",
-                                "eigensolver stalled; using shuffled ordering"};
-  const JsonValue encoded = degradation_to_json(single);
-  expect_stable(encoded, "degradation");
-  std::string error;
-  const auto decoded = degradation_from_json(encoded, &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->site, single.site);
-  EXPECT_EQ(decoded->action, single.action);
-  EXPECT_EQ(decoded->detail, single.detail);
-
-  const std::vector<DegradationEvent> log = {
-      single,
-      {"melo.ordering", "truncated-chain", ""},  // empty detail is omitted
-  };
-  const JsonValue array = degradations_to_json(log);
-  expect_stable(array, "degradation array");
-  const auto back = degradations_from_json(array, &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  ASSERT_EQ(back->size(), 2u);
-  EXPECT_EQ((*back)[1].site, "melo.ordering");
-  EXPECT_TRUE((*back)[1].detail.empty());
-  EXPECT_EQ(degradations_to_json(*back).dump(), array.dump());
+  // The one degradation object: stats-json run_records and the server's
+  // response envelope both write it through this writer.
+  const DegradationEvent full{"eig1.lanczos", "random-order-fallback",
+                              "eigensolver stalled; using shuffled ordering"};
+  EXPECT_EQ(written(full),
+            R"({"site":"eig1.lanczos","action":"random-order-fallback",)"
+            R"("detail":"eigensolver stalled; using shuffled ordering"})");
+  const DegradationEvent bare{"melo.ordering", "truncated-chain", ""};
+  EXPECT_EQ(written(bare),
+            R"({"site":"melo.ordering","action":"truncated-chain"})");
+  const DegradationEvent odd{"a\"b", "c\\d", "e\nf"};
+  const std::string text = written(odd);
+  EXPECT_TRUE(testing::json_round_trips(text));
+  const auto parsed = json_parse(text);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->find("site")->as_string(), odd.site);
+  EXPECT_EQ(parsed->find("action")->as_string(), odd.action);
+  EXPECT_EQ(parsed->find("detail")->as_string(), odd.detail);
 }
 
 TEST(WireRoundTrip, SideEncoding) {
@@ -121,82 +99,34 @@ TEST(WireRoundTrip, SideEncodingKWay) {
   EXPECT_FALSE(decode_side("3-1").has_value());
 }
 
-TEST(WireRoundTrip, RunOutcome) {
-  RunOutcome outcome;
-  outcome.status = Status::failure(StatusCode::kBudgetExhausted, "mid-pass");
-  outcome.result.side = {1, 0, 0, 1};
-  outcome.result.cut_cost = 12.0;
-  outcome.result.passes = 3;
-  outcome.wall_seconds = 0.020850935000000001;
-  outcome.cpu_seconds = 0.0104254675;
-  outcome.degradations.push_back({"melo.ordering", "truncated-chain", ""});
-
-  ASSERT_TRUE(outcome.has_result());
-  const JsonValue encoded = run_outcome_to_json(outcome);
-  expect_stable(encoded, "run outcome");
-
-  std::string error;
-  const auto decoded = run_outcome_from_json(encoded, &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->status.code, outcome.status.code);
-  EXPECT_EQ(decoded->result.side, outcome.result.side);
-  EXPECT_DOUBLE_EQ(decoded->result.cut_cost, outcome.result.cut_cost);
-  EXPECT_EQ(decoded->result.passes, outcome.result.passes);
-  EXPECT_DOUBLE_EQ(decoded->wall_seconds, outcome.wall_seconds);
-  EXPECT_EQ(decoded->degradations.size(), 1u);
-  EXPECT_EQ(run_outcome_to_json(*decoded).dump(), encoded.dump());
-}
-
-TEST(WireRoundTrip, RunOutcomeTimingGate) {
-  RunOutcome outcome;
-  outcome.wall_seconds = 1.5;
-  RunOutcomeJsonOptions options;
-  options.include_timing = false;
-  const std::string dumped = run_outcome_to_json(outcome, options).dump();
-  EXPECT_EQ(dumped.find("wall_seconds"), std::string::npos) << dumped;
-  EXPECT_EQ(dumped.find("cpu_seconds"), std::string::npos) << dumped;
-}
-
 TEST(WireRoundTrip, JobSpec) {
-  JobSpec spec;
-  spec.id = "job-42";
-  spec.tenant = "alpha";
-  spec.priority = 3;
-  spec.algo = "fm";
-  spec.circuit = "balu";
-  spec.runs = 7;
-  spec.seed = 18446744073709551615ull;  // > 2^53: must survive verbatim
-  spec.balance = "50-50";
-  spec.deadline_ms = 250.5;
-  spec.max_retries = 1;
-  spec.stats_timing = false;
-  spec.return_partition = true;
-  spec.k = 8;
-  spec.kway_refiner = "greedy";
-  spec.kway_objective = "cut";
-
-  const JsonValue encoded = job_spec_to_json(spec);
-  expect_stable(encoded, "job spec");
-  EXPECT_NE(encoded.dump().find("18446744073709551615"), std::string::npos);
-
+  // Every field of a submit request, the seed above 2^53.
+  const auto doc = json_parse(
+      R"({"op":"submit","id":"job-42","tenant":"alpha","priority":3,)"
+      R"("algo":"fm","circuit":"balu","runs":7,)"
+      R"("seed":18446744073709551615,"balance":"50-50","deadline_ms":250.5,)"
+      R"("max_retries":1,"stats_timing":false,"return_partition":true,)"
+      R"("k":8,"kway_refiner":"greedy","kway_objective":"cut"})");
+  ASSERT_TRUE(doc.has_value());
   std::string error;
-  const auto decoded = job_spec_from_json(encoded, &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->id, spec.id);
-  EXPECT_EQ(decoded->tenant, spec.tenant);
-  EXPECT_EQ(decoded->priority, spec.priority);
-  EXPECT_EQ(decoded->algo, spec.algo);
-  EXPECT_EQ(decoded->circuit, spec.circuit);
-  EXPECT_EQ(decoded->seed, spec.seed);
-  EXPECT_EQ(decoded->balance, spec.balance);
-  EXPECT_DOUBLE_EQ(decoded->deadline_ms, spec.deadline_ms);
-  EXPECT_EQ(decoded->max_retries, spec.max_retries);
-  EXPECT_FALSE(decoded->stats_timing);
-  EXPECT_TRUE(decoded->return_partition);
-  EXPECT_EQ(decoded->k, 8);
-  EXPECT_EQ(decoded->kway_refiner, "greedy");
-  EXPECT_EQ(decoded->kway_objective, "cut");
-  EXPECT_EQ(job_spec_to_json(*decoded).dump(), encoded.dump());
+  const auto spec = job_spec_from_json(*doc, &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->id, "job-42");
+  EXPECT_EQ(spec->tenant, "alpha");
+  EXPECT_EQ(spec->priority, 3);
+  EXPECT_EQ(spec->algo, "fm");
+  EXPECT_EQ(spec->circuit, "balu");
+  EXPECT_TRUE(spec->hgr.empty());
+  EXPECT_EQ(spec->runs, 7);
+  EXPECT_EQ(spec->seed, 18446744073709551615ull);
+  EXPECT_EQ(spec->balance, "50-50");
+  EXPECT_EQ(spec->deadline_ms, 250.5);
+  EXPECT_EQ(spec->max_retries, 1);
+  EXPECT_FALSE(spec->stats_timing);
+  EXPECT_TRUE(spec->return_partition);
+  EXPECT_EQ(spec->k, 8);
+  EXPECT_EQ(spec->kway_refiner, "greedy");
+  EXPECT_EQ(spec->kway_objective, "cut");
 }
 
 TEST(WireRoundTrip, JobSpecRejectsBadInput) {

@@ -57,7 +57,10 @@ TEST(RefineTelemetry, JsonContainsEveryField) {
   s.moves_attempted = 5;
   s.moves_accepted = 3;
   s.best_prefix_gain = 3.0;
-  const std::string json = to_json(t);
+  std::ostringstream out;
+  JsonWriter w(out);
+  write_json(w, t);
+  const std::string json = out.str();
   EXPECT_TRUE(testing::json_round_trips(json));
   for (const char* key :
        {"\"pass\":0", "\"cut_before\":12", "\"cut_after\":9",
