@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "hypergraph/mcnc_suite.h"
 #include "partition/runner.h"
 #include "runtime/runtime_cli.h"
+#include "service/json.h"
 #include "util/cli.h"
 #include "util/rng.h"
 
@@ -85,6 +88,31 @@ inline int scaled_runs(const CliArgs& args, int paper_runs) {
   const double scale = args.get_double_or("runs-scale", 1.0);
   const int runs = static_cast<int>(paper_runs * scale + 0.5);
   return runs < 1 ? 1 : runs;
+}
+
+/// The rows of a committed BENCH_*.json baseline (the items of its
+/// top-level array).  Empty when the file is unreadable, is not valid JSON
+/// or is not an array, so each bench keeps its "empty or unreadable" exit.
+inline std::vector<service::JsonValue> load_baseline_rows(
+    const std::string& path) {
+  std::ifstream f(path);
+  std::ostringstream text;
+  text << f.rdbuf();
+  const auto doc = service::json_parse(text.str());
+  if (!doc || !doc->is_array()) return {};
+  return doc->items();
+}
+
+/// A baseline row's string field; empty when missing or not a string.
+inline std::string row_string(const service::JsonValue& row, const char* key) {
+  const service::JsonValue* v = row.find(key);
+  return v && v->is_string() ? v->as_string() : std::string();
+}
+
+/// A baseline row's numeric field; 0 when missing or not a number.
+inline double row_number(const service::JsonValue& row, const char* key) {
+  const service::JsonValue* v = row.find(key);
+  return v && v->is_number() ? v->as_double() : 0.0;
 }
 
 inline void print_rule(int width) {

@@ -296,38 +296,16 @@ bool same_file(const std::string& a, const std::string& b) {
   return ca == cb;
 }
 
-// --- baseline comparison ---------------------------------------------------
-// The JSON we emit keeps one row per line, so the baseline reader is a
-// line-oriented field extractor rather than a general JSON parser.
-std::string extract_string(const std::string& line, const std::string& key) {
-  const std::string pat = "\"" + key + "\": \"";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return {};
-  const auto start = at + pat.size();
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return {};
-  return line.substr(start, end - start);
-}
-
-double extract_double(const std::string& line, const std::string& key) {
-  const std::string pat = "\"" + key + "\": ";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return 0.0;
-  return std::atof(line.c_str() + at + pat.size());
-}
-
 std::vector<Row> load_baseline(const std::string& path) {
   std::vector<Row> rows;
-  std::ifstream f(path);
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.find("\"kernel\"") == std::string::npos) continue;
+  for (const prop::service::JsonValue& row :
+       prop::bench::load_baseline_rows(path)) {
     Row r;
-    r.kernel = extract_string(line, "kernel");
-    r.circuit = extract_string(line, "circuit");
-    r.engine = extract_string(line, "engine");
-    r.ops = static_cast<std::uint64_t>(extract_double(line, "ops"));
-    r.wall_seconds = extract_double(line, "wall_seconds");
+    r.kernel = prop::bench::row_string(row, "kernel");
+    r.circuit = prop::bench::row_string(row, "circuit");
+    r.engine = prop::bench::row_string(row, "engine");
+    r.ops = static_cast<std::uint64_t>(prop::bench::row_number(row, "ops"));
+    r.wall_seconds = prop::bench::row_number(row, "wall_seconds");
     rows.push_back(r);
   }
   return rows;

@@ -122,36 +122,16 @@ bool same_merge(const std::vector<MergedNet>& a, const std::vector<MergedNet>& b
   return true;
 }
 
-// --- baseline comparison (same line-oriented reader as gain_kernels) -------
-std::string extract_string(const std::string& line, const std::string& key) {
-  const std::string pat = "\"" + key + "\": \"";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return {};
-  const auto start = at + pat.size();
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return {};
-  return line.substr(start, end - start);
-}
-
-double extract_double(const std::string& line, const std::string& key) {
-  const std::string pat = "\"" + key + "\": ";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return 0.0;
-  return std::atof(line.c_str() + at + pat.size());
-}
-
 std::vector<Row> load_baseline(const std::string& path) {
   std::vector<Row> rows;
-  std::ifstream f(path);
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.find("\"bench\"") == std::string::npos) continue;
+  for (const prop::service::JsonValue& row :
+       prop::bench::load_baseline_rows(path)) {
     Row r;
-    r.bench = extract_string(line, "bench");
-    r.instance = extract_string(line, "instance");
-    r.engine = extract_string(line, "engine");
-    r.ops = static_cast<std::uint64_t>(extract_double(line, "ops"));
-    r.wall_seconds = extract_double(line, "wall_seconds");
+    r.bench = prop::bench::row_string(row, "bench");
+    r.instance = prop::bench::row_string(row, "instance");
+    r.engine = prop::bench::row_string(row, "engine");
+    r.ops = static_cast<std::uint64_t>(prop::bench::row_number(row, "ops"));
+    r.wall_seconds = prop::bench::row_number(row, "wall_seconds");
     rows.push_back(r);
   }
   return rows;
