@@ -1,7 +1,6 @@
 #include "service/json.h"
 
 #include <cstdlib>
-#include <ostream>
 #include <sstream>
 
 namespace prop::service {
@@ -352,14 +351,10 @@ void JsonValue::write(JsonWriter& w) const {
   }
 }
 
-void JsonValue::write(std::ostream& out) const {
-  JsonWriter w(out);
-  write(w);
-}
-
 std::string JsonValue::dump() const {
   std::ostringstream out;
-  write(out);
+  JsonWriter w(out);
+  write(w);
   return out.str();
 }
 

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -75,7 +74,6 @@ class JsonValue {
   /// Compact serialization through JsonWriter: no whitespace, members in
   /// insertion order, numbers emitted as their lexeme.
   void write(JsonWriter& w) const;
-  void write(std::ostream& out) const;
   std::string dump() const;
 
  private:
